@@ -20,6 +20,7 @@ is attempted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from numpy.typing import NDArray
 
 from .errors import ContractError
 from .functionals import chi, chi_derivatives
-from .grid import RadialField, SpectralPlan, radial_derivative
+from .grid import FieldDerivative, RadialField, SpectralPlan, radial_derivative
 from .morawetz import morawetz_action, morawetz_rate, weight_build
 
 SCATTERED = "Scattered"
@@ -52,16 +53,23 @@ class StepperConfig:
     flux_radius: float | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ContractError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ContractError("t_end must be at least one step")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ContractError("dt must be positive and finite")
+        if not (self.t_end >= self.dt and math.isfinite(self.t_end)):
+            raise ContractError("t_end must be finite and at least one step")
         if self.snapshot_stride < 1:
             raise ContractError("snapshot_stride must be a positive integer")
         if self.blowup_gradient_factor <= 1:
             raise ContractError("blowup_gradient_factor must exceed 1")
         if not (0 < self.evacuation_epsilon < 1):
             raise ContractError("evacuation epsilon must lie in (0, 1)")
+        if not (self.evacuation_radius > 0 and math.isfinite(self.evacuation_radius)):
+            raise ContractError("evacuation_radius must be positive and finite")
+        # None is the only way to switch a diagnostic off
+        for name in ("morawetz_radius", "flux_radius"):
+            radius = getattr(self, name)
+            if radius is not None and not (radius > 0 and math.isfinite(radius)):
+                raise ContractError(f"{name} must be positive and finite, or None")
 
 
 @dataclass
@@ -130,6 +138,10 @@ def _flux_weights(grid, R: float):
 def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]:
     """Step to t_end (or to a blowup trigger), recording diagnostics per step."""
     grid = u0.grid
+    for name in ("evacuation_radius", "morawetz_radius", "flux_radius"):
+        radius = getattr(cfg, name)
+        if radius is not None and radius > grid.r_max:
+            raise ContractError(f"{name} {radius} exceeds the domain radius {grid.r_max}")
     plan = SpectralPlan.for_grid(grid)
     r = grid.nodes
     qw = grid.weights
@@ -140,8 +152,8 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     evac_mask = r <= cfg.evacuation_radius
     tail_mask = np.arange(1, grid.n + 1) > (2 * grid.n) // 3
 
-    weight = weight_build(cfg.morawetz_radius) if cfg.morawetz_radius else None
-    flux = _flux_weights(grid, cfg.flux_radius) if cfg.flux_radius else None
+    weight = weight_build(cfg.morawetz_radius) if cfg.morawetz_radius is not None else None
+    flux = _flux_weights(grid, cfg.flux_radius) if cfg.flux_radius is not None else None
 
     names = ["mass", "energy", "kinetic", "l6_local"]
     if weight is not None:
@@ -154,11 +166,13 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     snap_times: list[float] = []
 
     v = u0.values.astype(complex).copy()
+    # one field re-pointed at each recorded state; the loop checks it finite
+    state = RadialField(grid, v)
 
     def record(i: int, vals: NDArray) -> None:
-        a2 = np.abs(vals) ** 2
-        du = radial_derivative(grid, vals)
-        kin = float(np.sum(qw * np.abs(du) ** 2))
+        du = FieldDerivative(vals, radial_derivative(grid, vals))
+        a2 = du.a2
+        kin = float(np.sum(qw * du.du2))
         l4 = float(np.sum(qw * a2 * a2))
         l6 = float(np.sum(qw * a2**3))
         series["mass"][i] = np.sum(qw * a2)
@@ -166,9 +180,9 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         series["energy"][i] = kin / 2 + l4 / 4 - l6 / 6
         series["l6_local"][i] = np.sum(qw[evac_mask] * a2[evac_mask] ** 3)
         if weight is not None:
-            f = RadialField(grid, vals)
-            series["morawetz_m"][i] = morawetz_action(f, weight)
-            main, err1, err2 = morawetz_rate(f, weight)
+            state.values = vals
+            series["morawetz_m"][i] = morawetz_action(state, weight, du)
+            main, err1, err2 = morawetz_rate(state, weight, du)
             series["morawetz_main"][i] = main
             series["morawetz_err1"][i] = err1
             series["morawetz_err2"][i] = err2
@@ -176,9 +190,8 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
             ch, dch = flux
             a4 = a2 * a2
             series["flux_chi_l6"][i] = np.sum(qw * ch * a2**3)
-            current = np.imag(np.conj(vals) * du)
             grad_chi_u4 = dch * a4 + ch * radial_derivative(grid, a4)
-            series["flux_rhs"][i] = 6.0 * np.sum(qw * grad_chi_u4 * current)
+            series["flux_rhs"][i] = 6.0 * np.sum(qw * grad_chi_u4 * du.current)
 
     record(0, v)
     kin0 = series["kinetic"][0]
@@ -189,6 +202,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     blew_at: float | None = None
     aborted_at_step = n_steps
     gradient_fired = False
+    trigger: dict = {}  # detector quantities at the last gradient trigger
     if not zero_data:
         for k in range(1, n_steps + 1):
             v = plan.inverse(half * plan.forward(r * v)) / r
@@ -209,6 +223,8 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
                 gradient_fired = True
                 spectral = np.abs(c) ** 2 * plan.eigenvalues
                 tail_fraction = np.sum(spectral[tail_mask]) / np.sum(spectral)
+                trigger = {"trigger_kinetic_ratio": float(series["kinetic"][k] / kin0),
+                           "tail_fraction": float(tail_fraction)}
                 if tail_fraction > _TAIL_FRACTION_LIMIT:
                     blew_at = k * dt
                     aborted_at_step = k
@@ -245,6 +261,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         "max_kinetic_ratio": max_ratio,
         "completed": blew_at is None and last == n_steps,
         "gradient_fired": gradient_fired,
+        **trigger,
     }
     if blew_at is not None:
         outcome = RunOutcome(BLEW_UP, blew_at, evidence)

@@ -9,6 +9,7 @@ byte for byte; the manifest additionally records wall time and versions.
 from __future__ import annotations
 
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,7 +155,7 @@ def run_evolve(cfg: ExperimentConfig, out: Path) -> dict:
     for t, snap in zip(traj.snapshot_times, traj.snapshots):
         storage.write_snapshot(snapdir / f"t{t:012.6f}.csv", snap, t=float(t),
                                label=cfg.initial.family)
-    if cfg.stepper.morawetz_radius:
+    if cfg.stepper.morawetz_radius is not None:
         series_from_trajectory(traj).to_csv(out / "morawetz_series.csv")
     return {"outcome": outcome.to_dict(), "steps": len(traj.times) - 1}
 
@@ -441,14 +442,18 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute the configured experiment; returns a process exit code."""
     out = Path(cfg.out_dir) / cfg.experiment
     out.mkdir(parents=True, exist_ok=True)
+    error_path = out / "error.txt"
+    error_path.unlink(missing_ok=True)  # left by an earlier failed run
     start = time.perf_counter()
     try:
         summary = REGISTRY[cfg.experiment](cfg, out)
     except (ContractError, ConfigError) as exc:
-        print(f"error: {exc}")
+        error_path.write_text(traceback.format_exc())
+        print(f"error: {exc} (traceback in {error_path})")
         return 1
     except Exception as exc:
-        print(f"numerical failure: {exc}")
+        error_path.write_text(traceback.format_exc())
+        print(f"numerical failure: {exc} (traceback in {error_path})")
         return 2
     wall = time.perf_counter() - start
     artifacts = [p.name for p in out.iterdir() if p.is_file()]

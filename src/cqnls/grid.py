@@ -15,6 +15,7 @@ roughly an order of magnitude faster than neighbouring sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -131,6 +132,34 @@ def radial_derivative(grid: RadialGrid, values: NDArray) -> NDArray:
     return d
 
 
+class FieldDerivative:
+    """du/dr of one state plus the pointwise products built from it.
+
+    |u|^2, |du/dr|^2 and the current Im(conj(u) du/dr) are computed on first
+    use and kept, so the diagnostics of one state share a single derivative.
+    """
+
+    def __init__(self, values: NDArray, du: NDArray):
+        self.values = values
+        self.du = du
+
+    @classmethod
+    def of(cls, u: RadialField) -> "FieldDerivative":
+        return cls(u.values, radial_derivative(u.grid, u.values))
+
+    @cached_property
+    def a2(self) -> NDArray:
+        return np.abs(self.values) ** 2
+
+    @cached_property
+    def du2(self) -> NDArray:
+        return np.abs(self.du) ** 2
+
+    @cached_property
+    def current(self) -> NDArray:
+        return np.imag(np.conj(self.values) * self.du)
+
+
 def gradient_norm_sq(u: RadialField) -> float:
     """Kinetic quadratic form: integral of |du/dr|^2 over the ball."""
     du = radial_derivative(u.grid, u.values)
@@ -171,6 +200,20 @@ def free_propagate(u: RadialField, t: float, plan: SpectralPlan | None = None) -
     return RadialField(grid, w / grid.nodes, meta=u.meta)
 
 
+def _cubic_taps(grid: RadialGrid, radii: NDArray):
+    """Lattice position b and Lagrange weights of taps b-1 .. b+2 for each radius."""
+    x = np.asarray(radii) / grid.dr
+    b = np.clip(np.floor(x).astype(np.int64), 0, grid.n)
+    t = x - b
+    coef = (
+        -t * (t - 1) * (t - 2) / 6,
+        (t + 1) * (t - 1) * (t - 2) / 2,
+        -(t + 1) * t * (t - 2) / 2,
+        (t + 1) * t * (t - 1) / 6,
+    )
+    return b, coef
+
+
 def cubic_resample(u: RadialField, radii: NDArray) -> NDArray:
     """Values of u at arbitrary radii by cubic Lagrange interpolation.
 
@@ -179,19 +222,51 @@ def cubic_resample(u: RadialField, radii: NDArray) -> NDArray:
     beyond r_max return 0 (zero extension).
     """
     grid = u.grid
-    n, dr = grid.n, grid.dr
+    n = grid.n
     w_ext = np.zeros(n + 6, dtype=complex)  # lattice j = -3 .. n+2
     w_ext[4:4 + n] = grid.nodes * u.values
     w_ext[0:3] = -w_ext[6:3:-1]
-    x = np.asarray(radii) / dr
-    b = np.clip(np.floor(x).astype(np.int64), 0, n)
-    t = x - b
+    b, (c0, c1, c2, c3) = _cubic_taps(grid, radii)
     base = b + 3
     vals = (
-        (-t * (t - 1) * (t - 2) / 6) * w_ext[base - 1]
-        + ((t + 1) * (t - 1) * (t - 2) / 2) * w_ext[base]
-        + (-(t + 1) * t * (t - 2) / 2) * w_ext[base + 1]
-        + ((t + 1) * t * (t - 1) / 6) * w_ext[base + 2]
+        c0 * w_ext[base - 1]
+        + c1 * w_ext[base]
+        + c2 * w_ext[base + 1]
+        + c3 * w_ext[base + 2]
     )
     safe_r = np.where(radii > 0, radii, 1.0)
     return np.where(radii <= grid.r_max, vals / safe_r, 0.0)
+
+
+@dataclass(frozen=True)
+class CubicPoint:
+    """cubic_resample at one fixed radius > 0, reduced to four node reads.
+
+    Built once per (grid, radius); evaluating it gathers the four taps of w
+    (r_j u_j, -r_j u_j for the mirrored tap at j = -1, 0 at r = 0 and beyond
+    r_max, and all four 0 for a radius beyond r_max) instead of building the
+    padded lattice.
+    """
+
+    radius: float
+    index: NDArray
+    scale: NDArray
+    coef: tuple
+
+    @classmethod
+    def at(cls, grid: RadialGrid, radius: float) -> "CubicPoint":
+        if not radius > 0:
+            raise ContractError("interpolation radius must be positive")
+        b, coef = _cubic_taps(grid, np.array([radius]))
+        j = int(b[0]) + np.arange(-1, 3)  # lattice taps; node index j - 1
+        on_grid = (j >= 1) & (j <= grid.n)
+        index = np.where(on_grid, j - 1, np.where(j < 0, -j - 1, 0))
+        sign = np.where(on_grid, 1.0, np.where(j < 0, -1.0, 0.0))
+        if radius > grid.r_max:
+            sign[:] = 0.0
+        return cls(radius, index, sign * grid.nodes[index], tuple(c[0] for c in coef))
+
+    def __call__(self, values: NDArray) -> complex:
+        w = self.scale * values[self.index]
+        c0, c1, c2, c3 = self.coef
+        return (c0 * w[0] + c1 * w[1] + c2 * w[2] + c3 * w[3]) / self.radius

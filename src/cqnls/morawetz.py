@@ -35,7 +35,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ContractError, WeightConstructionError
-from .grid import RadialField, integrate_ball, radial_derivative
+from .grid import (
+    CubicPoint,
+    FieldDerivative,
+    RadialField,
+    RadialGrid,
+    integrate_ball,
+    radial_derivative,
+)
 from .functionals import local_l6
 
 # dimensionless transition patch q(s) and its derivatives (exact integers)
@@ -53,6 +60,15 @@ class MorawetzWeight:
 
     R: float
     transition_min_a_rr: float = field(init=False, default=0.0)
+    _node_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def on_grid(self, grid: RadialGrid) -> "WeightNodes":
+        """The weight's node vectors on ``grid``, built on first use and kept."""
+        key = (self.R, grid.r_max, grid.n)
+        nodes = self._node_cache.get(key)
+        if nodes is None:
+            nodes = self._node_cache[key] = WeightNodes.build(self, grid)
+        return nodes
 
     def _regions(self, r: NDArray):
         inner = r <= self.R
@@ -125,6 +141,54 @@ class MorawetzWeight:
         return self.a_rr(r), self.a_r(r) / r
 
 
+@dataclass(frozen=True)
+class WeightNodes:
+    """A weight's node vectors on one grid, shared by every state on it.
+
+    The masks of the three regions are contiguous node ranges: the ball
+    r <= R is nodes[:lo], the annulus R < r <= 2R is nodes[lo:hi] and the
+    exterior is nodes[hi:].
+    """
+
+    lo: int
+    hi: int
+    a_r: NDArray
+    a_rr4: NDArray  # 4 a''
+    delta_a: NDArray
+    weighted_delta_a_prime: NDArray  # quadrature weight times (Delta a)' on the annulus
+    pad: tuple[int, int]  # annulus plus the reach of the derivative stencil
+    edge: CubicPoint  # u(2R)
+
+    @classmethod
+    def build(cls, w: MorawetzWeight, grid: RadialGrid) -> "WeightNodes":
+        r = grid.nodes
+        lo = int(np.count_nonzero(r <= w.R))
+        hi = grid.n - int(np.count_nonzero(r > 2 * w.R))
+        # radial_derivative on nodes[a:b] reproduces the full-grid values on
+        # the annulus when each end of the slice is either the end of the
+        # grid or two nodes past the annulus (the 5-point stencil's reach)
+        a, b = max(lo - 2, 0), min(hi + 2, grid.n)
+        if b - a < 5:
+            a, b = (0, 5) if a == 0 else (b - 5, b)
+        return cls(
+            lo=lo,
+            hi=hi,
+            a_r=w.a_r(r),
+            a_rr4=4.0 * w.a_rr(r),
+            delta_a=w.delta_a(r),
+            weighted_delta_a_prime=grid.weights[lo:hi] * w.delta_a_prime(r[lo:hi]),
+            pad=(a, b),
+            edge=CubicPoint.at(grid, 2.0 * w.R),
+        )
+
+    def annulus_derivative(self, grid: RadialGrid, values: NDArray) -> NDArray:
+        """radial_derivative(grid, values) restricted to the annulus."""
+        if self.hi == self.lo:
+            return values[:0]
+        a, b = self.pad
+        return radial_derivative(grid, values[a:b])[self.lo - a:self.hi - a]
+
+
 def weight_build(R: float, scan_points: int = 1001) -> MorawetzWeight:
     """Construct the weight and verify its build-time inequalities.
 
@@ -132,8 +196,8 @@ def weight_build(R: float, scan_points: int = 1001) -> MorawetzWeight:
     magnitudes) and monotonicity a' >= 0 on a dense scan of the transition;
     either failure aborts construction.
     """
-    if R <= 0:
-        raise ContractError("weight radius must be positive")
+    if not (R > 0 and np.isfinite(R)):
+        raise ContractError("weight radius must be positive and finite")
     w = MorawetzWeight(R)
     eps = 1e-10
     for r0, inner_vals in (
@@ -164,24 +228,20 @@ def weight_build(R: float, scan_points: int = 1001) -> MorawetzWeight:
     return w
 
 
-def morawetz_action(u: RadialField, w: MorawetzWeight) -> float:
-    """M = 2 int Im(conj(u) du/dr) a'(r) over the ball."""
-    du = radial_derivative(u.grid, u.values)
-    integrand = np.imag(np.conj(u.values) * du) * w.a_r(u.grid.nodes)
-    return 2.0 * integrate_ball(u.grid, integrand)
+def morawetz_action(u: RadialField, w: MorawetzWeight,
+                    du: FieldDerivative | None = None) -> float:
+    """M = 2 int Im(conj(u) du/dr) a'(r) over the ball.
+
+    ``du`` is u's derivative when the caller already holds it; without it
+    the derivative is taken here.
+    """
+    if du is None:
+        du = FieldDerivative.of(u)
+    return 2.0 * integrate_ball(u.grid, du.current * w.on_grid(u.grid).a_r)
 
 
-def _smooth_rate_density(u: RadialField, w: MorawetzWeight) -> NDArray:
-    r = u.grid.nodes
-    du = radial_derivative(u.grid, u.values)
-    a2 = np.abs(u.values) ** 2
-    da = w.delta_a(r)
-    # 4 Re(conj(u_i) a_ij u_j) = 4 a''|u_r|^2 on radial data; the tangential
-    # part 12R/r |angular grad u|^2 of the exterior group is identically 0.
-    return 4.0 * w.a_rr(r) * np.abs(du) ** 2 + da * (a2**2 - (4.0 / 3.0) * a2**3)
-
-
-def _bilaplacian_term(u: RadialField, w: MorawetzWeight) -> float:
+def _bilaplacian_term(u: RadialField, w: MorawetzWeight, nodes: WeightNodes,
+                      a2: NDArray) -> float:
     """-int LapLap(a) |u|^2, supported on the transition annulus.
 
     LapLap(a) jumps at both junctions, which a node-based quadrature samples
@@ -190,27 +250,31 @@ def _bilaplacian_term(u: RadialField, w: MorawetzWeight) -> float:
     4 pi (2R)^2 (Delta a)'(2R) |u(2R)|^2 = -24 pi R |u(2R)|^2
     (the inner surface vanishes since Delta a is constant there).
     """
-    from .grid import cubic_resample
-
-    grid = u.grid
-    r = grid.nodes
-    _, mid, _ = w._regions(r)
-    a2 = np.abs(u.values) ** 2
-    da2 = radial_derivative(grid, a2)
-    smooth = float(np.sum(grid.weights[mid] * w.delta_a_prime(r[mid]) * da2[mid]))
-    u_edge = cubic_resample(u, np.array([2.0 * w.R]))[0]
+    da2 = nodes.annulus_derivative(u.grid, a2)
+    smooth = float(np.sum(nodes.weighted_delta_a_prime * da2))
+    u_edge = nodes.edge(u.values)
     return 24.0 * np.pi * w.R * float(np.abs(u_edge) ** 2) + smooth
 
 
-def morawetz_rate(u: RadialField, w: MorawetzWeight) -> tuple[float, float, float]:
-    """The three regional groups of dM/dt: (ball, exterior, transition)."""
-    r = u.grid.nodes
-    dens = _smooth_rate_density(u, w)
+def morawetz_rate(u: RadialField, w: MorawetzWeight,
+                  du: FieldDerivative | None = None) -> tuple[float, float, float]:
+    """The three regional groups of dM/dt: (ball, exterior, transition).
+
+    ``du`` is u's derivative when the caller already holds it; without it
+    the derivative is taken here.
+    """
+    if du is None:
+        du = FieldDerivative.of(u)
+    nodes = w.on_grid(u.grid)
+    a2 = du.a2
+    # 4 Re(conj(u_i) a_ij u_j) = 4 a''|u_r|^2 on radial data; the tangential
+    # part 12R/r |angular grad u|^2 of the exterior group is identically 0.
+    dens = nodes.a_rr4 * du.du2 + nodes.delta_a * (a2**2 - (4.0 / 3.0) * a2**3)
     weights = u.grid.weights
-    inner, mid, outer = w._regions(r)
-    main = float(np.sum(weights[inner] * dens[inner]))
-    err1 = float(np.sum(weights[outer] * dens[outer]))
-    err2 = float(np.sum(weights[mid] * dens[mid])) + _bilaplacian_term(u, w)
+    lo, hi = nodes.lo, nodes.hi
+    main = float(np.sum(weights[:lo] * dens[:lo]))
+    err1 = float(np.sum(weights[hi:] * dens[hi:]))
+    err2 = float(np.sum(weights[lo:hi] * dens[lo:hi])) + _bilaplacian_term(u, w, nodes, a2)
     return main, err1, err2
 
 

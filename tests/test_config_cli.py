@@ -113,6 +113,33 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     assert main(["thresholds", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_failures_leave_traceback(tmp_path, capsys):
+    """Exit codes 1 and 2 write the traceback to <out>/error.txt and print its path;
+    a later successful run in the same directory removes it."""
+    cfgfile = tmp_path / "th.ini"
+    cfgfile.write_text("[run]\nexperiment = thresholds\n\n[grid]\nr_max = 64.0\nn = 2047\n")
+    assert main(["thresholds", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    error = tmp_path / "o" / "thresholds" / "error.txt"
+    assert str(error) in capsys.readouterr().out
+    assert error.read_text().startswith("Traceback")
+
+    out = tmp_path / "ev"
+    base = {"experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+            "initial": {"family": "gaussian", "amplitude": 0.3}}
+    bad = dict(base, stepper={"dt": 1e-3, "t_end": 2e-3, "flux_radius": 40.0})
+    cfgfile = tmp_path / "ev.json"
+    cfgfile.write_text(json.dumps(bad))
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
+    error = out / "evolve" / "error.txt"
+    assert str(error) in capsys.readouterr().out
+    assert "ContractError: flux_radius 40.0 exceeds" in error.read_text()
+
+    good = dict(base, stepper={"dt": 1e-3, "t_end": 2e-3, "evacuation_radius": 5.0})
+    cfgfile.write_text(json.dumps(good))
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert not error.exists()
+
+
 def test_free_decay_zero_data(tmp_path):
     cfgfile = tmp_path / "fd.json"
     cfgfile.write_text(json.dumps({

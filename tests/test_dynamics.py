@@ -147,6 +147,8 @@ def test_evolve_blowup(th1024):
     assert outcome.tag == BLEW_UP
     assert outcome.t_event is not None and outcome.t_event < 10.0
     assert outcome.evidence["max_kinetic_ratio"] >= cfg.blowup_gradient_factor
+    assert outcome.evidence["trigger_kinetic_ratio"] >= cfg.blowup_gradient_factor
+    assert outcome.evidence["tail_fraction"] > 0.1
 
 
 def test_trajectory_series_length(grid64):
@@ -225,3 +227,62 @@ def test_stepper_config_validation():
         StepperConfig(evacuation_epsilon=1.5)
     with pytest.raises(ContractError):
         StepperConfig(blowup_gradient_factor=0.5)
+
+
+_BAD_FLOATS = st.one_of(st.floats(max_value=0.0), st.sampled_from([np.inf, -np.inf, np.nan]))
+_RADIUS_FIELDS = ("morawetz_radius", "flux_radius", "evacuation_radius")
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(_RADIUS_FIELDS + ("dt", "t_end")), bad=_BAD_FLOATS)
+def test_stepper_config_rejects_nonpositive_or_nonfinite(name, bad):
+    """Zero, negative and non-finite values are refused; only None disables a diagnostic."""
+    with pytest.raises(ContractError):
+        StepperConfig(**{name: bad})
+
+
+@settings(max_examples=40, deadline=None)
+@given(morawetz=st.none() | st.floats(1e-3, 1e3), flux=st.none() | st.floats(1e-3, 1e3),
+       evac=st.floats(1e-3, 1e3), dt=st.floats(1e-6, 1.0), steps=st.floats(1.0, 1e4))
+def test_valid_stepper_config_round_trips(morawetz, flux, evac, dt, steps):
+    from cqnls.config import ExperimentConfig, from_dict
+
+    t_end = dt * steps
+    cfg = ExperimentConfig(stepper=StepperConfig(dt=dt, t_end=t_end, morawetz_radius=morawetz,
+                                                 flux_radius=flux, evacuation_radius=evac))
+    assert from_dict(cfg.to_dict()) == cfg
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(_RADIUS_FIELDS), factor=st.floats(0.05, 3.0))
+def test_evolve_rejects_radius_beyond_domain(name, factor):
+    """A radius beyond r_max is refused before stepping; one within runs and is recorded."""
+    grid = RadialGrid(16.0, 63)
+    radius = factor * grid.r_max
+    cfg = StepperConfig(dt=1e-3, t_end=2e-3, **{"evacuation_radius": 1.0, name: radius})
+    if radius > grid.r_max:
+        with pytest.raises(ContractError):
+            evolve(gaussian(grid, amplitude=0.3), cfg)
+    else:
+        key = "l6_local_radius" if name == "evacuation_radius" else name
+        traj, _ = evolve(gaussian(grid, amplitude=0.3), cfg)
+        assert traj.series_meta[key] == radius
+
+
+def test_gradient_trigger_records_detector_quantities(grid64):
+    """An unconfirmed gradient trigger leaves its kinetic ratio and spectral tail in evidence."""
+    u0 = RadialField(grid64, 1.5 * np.exp(-grid64.nodes**2 - 0.5j * grid64.nodes**2))
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, snapshot_stride=10**9, blowup_gradient_factor=1.005)
+    traj, outcome = evolve(u0, cfg)
+    ev = outcome.evidence
+    assert ev["gradient_fired"] and outcome.tag != BLEW_UP
+    assert ev["trigger_kinetic_ratio"] >= cfg.blowup_gradient_factor
+    assert ev["trigger_kinetic_ratio"] <= ev["max_kinetic_ratio"]
+    assert 0.0 <= ev["tail_fraction"] <= 0.1
+
+
+def test_no_gradient_trigger_no_detector_quantities(grid64):
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, snapshot_stride=10**9)
+    _, outcome = evolve(gaussian(grid64, amplitude=0.3), cfg)
+    assert not outcome.evidence["gradient_fired"]
+    assert "tail_fraction" not in outcome.evidence

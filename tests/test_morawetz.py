@@ -280,3 +280,74 @@ def test_averaged_local_l6_from_series(grid64):
     from_snaps = averaged_local_l6(traj, 5.0)  # falls back to snapshots
     assert from_series > 0
     assert from_snaps > 0
+
+
+def _rate_by_masks(u, w):
+    """dM/dt groups from the array evaluators, region masks rebuilt per call."""
+    from cqnls.grid import cubic_resample
+
+    grid, r = u.grid, u.grid.nodes
+    inner, mid, outer = r <= w.R, (r > w.R) & (r <= 2 * w.R), r > 2 * w.R
+    du = radial_derivative(grid, u.values)
+    a2 = np.abs(u.values) ** 2
+    dens = 4.0 * w.a_rr(r) * np.abs(du) ** 2 + w.delta_a(r) * (a2**2 - (4.0 / 3.0) * a2**3)
+    da2 = radial_derivative(grid, a2)
+    smooth = float(np.sum(grid.weights[mid] * w.delta_a_prime(r[mid]) * da2[mid]))
+    u_edge = cubic_resample(u, np.array([2.0 * w.R]))[0]
+    bilap = 24.0 * np.pi * w.R * float(np.abs(u_edge) ** 2) + smooth
+    return (float(np.sum(grid.weights[inner] * dens[inner])),
+            float(np.sum(grid.weights[outer] * dens[outer])),
+            float(np.sum(grid.weights[mid] * dens[mid])) + bilap)
+
+
+@pytest.mark.parametrize("R_in_dr", [0.3, 0.45, 0.6, 1.0, 1.5, 2.2, 30.0, 63.7, 64.0, 100.0])
+def test_cached_nodes_match_array_evaluators(R_in_dr):
+    """The per-grid node vectors give exactly the per-call evaluator numbers.
+
+    Covers an empty annulus (R < dr/2), annuli of one or two nodes at r = 0,
+    an annulus ending at r_max and a weight wider than the grid.
+    """
+    grid = RadialGrid(16.0, 127)
+    w = weight_build(R_in_dr * grid.dr)
+    rng = np.random.default_rng(40)
+    r = grid.nodes
+    for _ in range(3):
+        u = RadialField(grid, rng.uniform(0.2, 1.0) * np.exp(-((r / rng.uniform(0.3, 6.0)) ** 2))
+                        * np.exp(1j * rng.uniform(-1, 1) * r))
+        du = radial_derivative(grid, u.values)
+        action = 2.0 * integrate_ball(grid, np.imag(np.conj(u.values) * du) * w.a_r(r))
+        assert morawetz_action(u, w) == action
+        assert morawetz_rate(u, w) == _rate_by_masks(u, w)
+
+
+def test_cubic_point_matches_cubic_resample():
+    from cqnls.grid import CubicPoint, cubic_resample
+
+    grid = RadialGrid(16.0, 127)
+    u = random_smooth_field(grid, np.random.default_rng(41))
+    for radius in (0.3 * grid.dr, grid.dr, 2.5 * grid.dr, 7.77, 16.0 - 0.5 * grid.dr,
+                   16.0, 17.0):
+        want = abs(cubic_resample(u, np.array([radius]))[0])
+        assert abs(CubicPoint.at(grid, radius)(u.values)) == want
+
+
+@pytest.mark.parametrize("seed,R", [(50, 8.0), (51, 5.0), (52, 0.01)])
+def test_evolve_series_match_public_functions(seed, R):
+    """The stepper's recorded Morawetz series equal the public functions on its snapshots.
+
+    R = 0.01 < dr leaves the transition annulus without nodes.
+    """
+    grid = RadialGrid(32.0, 511)
+    assert not np.any((grid.nodes > 0.01) & (grid.nodes <= 0.02))
+    u0 = random_smooth_field(grid, np.random.default_rng(seed))
+    cfg = StepperConfig(dt=1e-3, t_end=0.01, snapshot_stride=1, morawetz_radius=R,
+                        flux_radius=R, evacuation_radius=R)
+    traj, _ = evolve(u0, cfg)
+    w = weight_build(R)
+    assert len(traj.snapshots) == len(traj.times)
+    for i, snap in enumerate(traj.snapshots):
+        main, err1, err2 = morawetz_rate(snap, w)
+        assert traj.series["morawetz_m"][i] == morawetz_action(snap, w)
+        assert (traj.series["morawetz_main"][i], traj.series["morawetz_err1"][i],
+                traj.series["morawetz_err2"][i]) == (main, err1, err2)
+        assert (main, err1, err2) == _rate_by_masks(snap, w)
