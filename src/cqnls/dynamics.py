@@ -57,6 +57,9 @@ class StepperConfig:
             raise ContractError("dt must be positive and finite")
         if not (self.t_end >= self.dt and math.isfinite(self.t_end)):
             raise ContractError("t_end must be finite and at least one step")
+        ratio = self.t_end / self.dt  # may miss a whole step count by roundoff only
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ContractError(f"t_end {self.t_end} is not a whole number of steps of dt {self.dt}")
         if self.snapshot_stride < 1:
             raise ContractError("snapshot_stride must be a positive integer")
         if self.blowup_gradient_factor <= 1:
@@ -109,17 +112,27 @@ def _phase(v: NDArray, dt: float) -> NDArray:
     return v * np.exp(-1j * dt * (a2 - a2 * a2))
 
 
+def _step(plan: SpectralPlan, half: NDArray, c: NDArray, dt: float,
+          nonlinear: bool = True) -> tuple[NDArray, NDArray]:
+    """Strang step from the sine coefficients c of r*u: free dt/2, phase dt, free dt/2.
+
+    Returns the stepped coefficients, from which the next step can start, and u.
+    """
+    r = plan.grid.nodes
+    v = plan.inverse(half * c) / r
+    if nonlinear:
+        v = _phase(v, dt)
+    c = half * plan.forward(r * v)
+    return c, plan.inverse(c) / r
+
+
 def strang_step(u: RadialField, dt: float, plan: SpectralPlan | None = None) -> RadialField:
     """Symmetric split step: free dt/2, nonlinear dt, free dt/2."""
-    grid = u.grid
     if plan is None:
-        plan = SpectralPlan.for_grid(grid)
+        plan = SpectralPlan.for_grid(u.grid)
     half = np.exp(-0.5j * plan.eigenvalues * dt)
-    r = grid.nodes
-    v = plan.inverse(half * plan.forward(r * u.values)) / r
-    v = _phase(v, dt)
-    v = plan.inverse(half * plan.forward(r * v)) / r
-    return RadialField(grid, v, meta=u.meta)
+    _, v = _step(plan, half, plan.forward(u.grid.nodes * u.values), dt)
+    return RadialField(u.grid, v, meta=u.meta)
 
 
 def _sponge_profile(grid, strength: float) -> NDArray:
@@ -128,11 +141,16 @@ def _sponge_profile(grid, strength: float) -> NDArray:
     ramp = np.clip((grid.nodes - r0) / (grid.r_max - r0), 0.0, 1.0)
     return strength * ramp**2
 
+
 def _flux_weights(grid, R: float):
+    """chi_R, chi_R', the leading slice of nodes where either is nonzero, and the
+    leading window whose d|u|^4/dr equals the full-grid one on that slice: 2 nodes
+    longer for the stencil's reach, or the whole grid if that is too short or too long."""
     s = grid.nodes / R
     ch = chi(s)
-    d1, _ = chi_derivatives(s)
-    return ch, d1 / R
+    dch = chi_derivatives(s)[0] / R
+    k = np.flatnonzero((ch != 0) | (dch != 0)).max(initial=-1) + 1
+    return ch, dch, slice(k), slice(k + 2 if 5 <= k + 2 <= grid.n else grid.n)
 
 
 def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]:
@@ -146,7 +164,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     r = grid.nodes
     qw = grid.weights
     dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
+    n_steps = round(cfg.t_end / dt)
     half = np.exp(-0.5j * plan.eigenvalues * dt)
     sponge_mult = np.exp(-dt * _sponge_profile(grid, cfg.sponge_strength)) if cfg.sponge else None
     evac_mask = r <= cfg.evacuation_radius
@@ -162,10 +180,10 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         names += ["flux_chi_l6", "flux_rhs"]
     series = {k: np.zeros(n_steps + 1) for k in names}
     times = np.arange(n_steps + 1) * dt
-    snapshots: list[RadialField] = []
-    snap_times: list[float] = []
 
     v = u0.values.astype(complex).copy()
+    snapshots = [RadialField(grid, v.copy(), meta=u0.meta)]
+    snap_times = [0.0]
     # one field re-pointed at each recorded state; the loop checks it finite
     state = RadialField(grid, v)
 
@@ -182,38 +200,36 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         if weight is not None:
             state.values = vals
             series["morawetz_m"][i] = morawetz_action(state, weight, du)
-            main, err1, err2 = morawetz_rate(state, weight, du)
-            series["morawetz_main"][i] = main
-            series["morawetz_err1"][i] = err1
-            series["morawetz_err2"][i] = err2
+            for name, val in zip(("morawetz_main", "morawetz_err1", "morawetz_err2"),
+                                 morawetz_rate(state, weight, du)):
+                series[name][i] = val
         if flux is not None:
-            ch, dch = flux
+            ch, dch, support, window = flux
             a4 = a2 * a2
             series["flux_chi_l6"][i] = np.sum(qw * ch * a2**3)
-            grad_chi_u4 = dch * a4 + ch * radial_derivative(grid, a4)
+            d_a4 = np.zeros_like(a4)  # zero where chi_R and chi_R' are
+            d_a4[support] = radial_derivative(grid, a4[window])[support]
+            grad_chi_u4 = dch * a4 + ch * d_a4
             series["flux_rhs"][i] = 6.0 * np.sum(qw * grad_chi_u4 * du.current)
 
     record(0, v)
     kin0 = series["kinetic"][0]
-    snapshots.append(RadialField(grid, v.copy(), meta=u0.meta))
-    snap_times.append(0.0)
 
     zero_data = series["mass"][0] == 0.0
     blew_at: float | None = None
-    aborted_at_step = n_steps
+    last = n_steps  # the last step recorded
     gradient_fired = False
     trigger: dict = {}  # detector quantities at the last gradient trigger
+    coef = None  # sine coefficients of r*v, carried from one step to the next
     if not zero_data:
         for k in range(1, n_steps + 1):
-            v = plan.inverse(half * plan.forward(r * v)) / r
-            if not cfg.linear:
-                v = _phase(v, dt)
-            c = half * plan.forward(r * v)
-            v = plan.inverse(c) / r
+            if coef is None or sponge_mult is not None:  # the sponge acts on v, not coef
+                coef = plan.forward(r * v)
+            coef, v = _step(plan, half, coef, dt, not cfg.linear)
             if sponge_mult is not None:
                 v = v * sponge_mult
             if not np.all(np.isfinite(v.view(float))):
-                aborted_at_step = k - 1
+                last = k - 1
                 break
             record(k, v)
             if k % cfg.snapshot_stride == 0:
@@ -221,60 +237,43 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
                 snap_times.append(k * dt)
             if series["kinetic"][k] >= cfg.blowup_gradient_factor * kin0 and kin0 > 0:
                 gradient_fired = True
-                spectral = np.abs(c) ** 2 * plan.eigenvalues
+                spectral = np.abs(coef) ** 2 * plan.eigenvalues
                 tail_fraction = np.sum(spectral[tail_mask]) / np.sum(spectral)
                 trigger = {"trigger_kinetic_ratio": float(series["kinetic"][k] / kin0),
                            "tail_fraction": float(tail_fraction)}
                 if tail_fraction > _TAIL_FRACTION_LIMIT:
-                    blew_at = k * dt
-                    aborted_at_step = k
+                    blew_at, last = k * dt, k
                     break
-        else:
-            aborted_at_step = n_steps
 
-    last = aborted_at_step
     times = times[: last + 1]
     series = {k2: a[: last + 1] for k2, a in series.items()}
     if snap_times[-1] < times[-1] and np.all(np.isfinite(v.view(float))):
         snapshots.append(RadialField(grid, v.copy(), meta=u0.meta))
         snap_times.append(times[-1])
 
-    traj = Trajectory(
-        times=times,
-        series=series,
-        series_meta={
-            "l6_local_radius": cfg.evacuation_radius,
-            "morawetz_radius": cfg.morawetz_radius,
-            "flux_radius": cfg.flux_radius,
-            "dt": dt,
-        },
-        snapshots=snapshots,
-        snapshot_times=np.array(snap_times),
-    )
+    meta = {"l6_local_radius": cfg.evacuation_radius, "morawetz_radius": cfg.morawetz_radius,
+            "flux_radius": cfg.flux_radius, "dt": dt}
+    traj = Trajectory(times, series, meta, snapshots, np.array(snap_times))
 
-    kinetic = series["kinetic"]
-    max_ratio = float(np.max(kinetic) / kin0) if kin0 > 0 else 0.0
     late = times >= times[-1] - 0.2 * (times[-1] - times[0]) if times[-1] > 0 else slice(None)
     min_late_l6 = float(np.min(series["l6_local"][late]))
     evidence = {
         "min_local_l6": min_late_l6,
-        "max_kinetic_ratio": max_ratio,
+        "max_kinetic_ratio": float(np.max(series["kinetic"]) / kin0) if kin0 > 0 else 0.0,
         "completed": blew_at is None and last == n_steps,
         "gradient_fired": gradient_fired,
         **trigger,
     }
     if blew_at is not None:
-        outcome = RunOutcome(BLEW_UP, blew_at, evidence)
-    elif last < n_steps:
+        return traj, RunOutcome(BLEW_UP, blew_at, evidence)
+    if last < n_steps:
         # non-finite state without a confirmed gradient trigger
         tag = BLEW_UP if gradient_fired else UNDECIDED
         evidence["aborted_nonfinite"] = True
-        outcome = RunOutcome(tag, times[-1] if gradient_fired else None, evidence)
-    elif not zero_data and min_late_l6 <= cfg.evacuation_epsilon**6:
-        outcome = RunOutcome(SCATTERED, None, evidence)
-    else:
-        outcome = RunOutcome(UNDECIDED, None, evidence)
-    return traj, outcome
+        return traj, RunOutcome(tag, times[-1] if gradient_fired else None, evidence)
+    if not zero_data and min_late_l6 <= cfg.evacuation_epsilon**6:
+        return traj, RunOutcome(SCATTERED, None, evidence)
+    return traj, RunOutcome(UNDECIDED, None, evidence)
 
 
 def flux_identity_residual(traj, R: float) -> float:

@@ -438,6 +438,9 @@ REGISTRY = {
 }
 
 
+_EXIT_STATUS = {0: "ok", 1: "config error", 2: "numerical failure", 3: "selftest failure"}
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured experiment; returns a process exit code."""
     out = Path(cfg.out_dir) / cfg.experiment
@@ -445,19 +448,22 @@ def run(cfg: ExperimentConfig) -> int:
     error_path = out / "error.txt"
     error_path.unlink(missing_ok=True)  # left by an earlier failed run
     start = time.perf_counter()
+    code = 0
     try:
         summary = REGISTRY[cfg.experiment](cfg, out)
     except (ContractError, ConfigError) as exc:
         error_path.write_text(traceback.format_exc())
         print(f"error: {exc} (traceback in {error_path})")
-        return 1
+        code = 1
     except Exception as exc:
         error_path.write_text(traceback.format_exc())
         print(f"numerical failure: {exc} (traceback in {error_path})")
-        return 2
+        code = 2
+    else:
+        if cfg.experiment == "selftest" and summary.get("failures"):
+            code = 3
     wall = time.perf_counter() - start
     artifacts = [p.name for p in out.iterdir() if p.is_file()]
-    storage.write_manifest(out / "manifest.json", cfg.to_dict(), wall, artifacts)
-    if cfg.experiment == "selftest" and summary.get("failures"):
-        return 3
-    return 0
+    storage.write_manifest(out / "manifest.json", cfg.to_dict(), wall, artifacts,
+                           status=_EXIT_STATUS[code], exit_code=code)
+    return code

@@ -101,10 +101,34 @@ class SpectralPlan:
         return plan
 
     def forward(self, w: NDArray) -> NDArray:
-        return dst(w, type=1)
+        return _sine_transform(dst, w)
 
     def inverse(self, c: NDArray) -> NDArray:
-        return idst(c, type=1)
+        return _sine_transform(idst, c)
+
+
+def _sine_transform(transform, x: NDArray) -> NDArray:
+    """DST-I (or its inverse) along the last axis, one pocketfft call per array.
+
+    scipy splits a complex input into two real transforms.  A contiguous
+    complex128 array is the same memory as a float array with a trailing
+    axis of (real, imag) pairs, so transforming that view along the
+    second-to-last axis does both halves in one call.  The output is
+    bitwise identical to ``transform(x, type=1)``.  Other dtypes take the
+    plain call.
+
+    The complex result is a view of the float output.  numpy never reuses a
+    view in place as a temporary, so from 256 KiB (16384 nodes) on, where it
+    would have reused the plain call's output, a product such as
+    ``half * forward(w)`` keeps its operand order and may differ in the
+    last bit from before.
+    """
+    x = np.asarray(x)
+    if x.dtype != np.complex128:
+        return transform(x, type=1)
+    pairs = np.ascontiguousarray(x).view(np.float64).reshape(x.shape + (2,))
+    out = transform(pairs, type=1, axis=-2)
+    return np.ascontiguousarray(out).view(np.complex128)[..., 0]
 
 
 def integrate_ball(grid: RadialGrid, samples: NDArray) -> float:

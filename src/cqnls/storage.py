@@ -43,10 +43,13 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_manifest(path, config_dict: dict, wall_time: float, artifacts: list[str]) -> None:
+def write_manifest(path, config_dict: dict, wall_time: float, artifacts: list[str],
+                   status: str = "ok", exit_code: int = 0) -> None:
     import scipy
 
     manifest = {
+        "status": status,
+        "exit_code": exit_code,
         "config_hash": config_hash(config_dict),
         "versions": {
             "cqnls": "0.1.0",

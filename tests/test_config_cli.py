@@ -140,6 +140,35 @@ def test_cli_failures_leave_traceback(tmp_path, capsys):
     assert not error.exists()
 
 
+def test_cli_failures_write_manifest(tmp_path):
+    """Exit codes 1 and 2 still write manifest.json: status, exit code, wall time,
+    and error.txt among the artifacts; a successful run records status ok."""
+    cfgfile = tmp_path / "th.ini"
+    cfgfile.write_text("[run]\nexperiment = thresholds\n\n[grid]\nr_max = 64.0\nn = 2047\n")
+    assert main(["thresholds", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    manifest = json.loads((tmp_path / "o" / "thresholds" / "manifest.json").read_text())
+    assert manifest["status"] == "numerical failure" and manifest["exit_code"] == 2
+    assert manifest["wall_time_s"] >= 0.0
+    assert "error.txt" in manifest["artifacts"]
+
+    out = tmp_path / "ev"
+    base = {"experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+            "initial": {"family": "gaussian", "amplitude": 0.3}}
+    cfgfile = tmp_path / "ev.json"
+    cfgfile.write_text(json.dumps(dict(base, stepper={"dt": 1e-3, "t_end": 2e-3,
+                                                      "flux_radius": 40.0})))
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
+    manifest = json.loads((out / "evolve" / "manifest.json").read_text())
+    assert manifest["status"] == "config error" and manifest["exit_code"] == 1
+    assert "error.txt" in manifest["artifacts"]
+
+    cfgfile.write_text(json.dumps(dict(base, stepper={"dt": 1e-3, "t_end": 2e-3})))
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
+    manifest = json.loads((out / "evolve" / "manifest.json").read_text())
+    assert manifest["status"] == "ok" and manifest["exit_code"] == 0
+    assert "error.txt" not in manifest["artifacts"]
+
+
 def test_free_decay_zero_data(tmp_path):
     cfgfile = tmp_path / "fd.json"
     cfgfile.write_text(json.dumps({

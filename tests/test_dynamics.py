@@ -16,8 +16,8 @@ from cqnls.dynamics import (
     strang_step,
 )
 from cqnls.errors import ContractError
-from cqnls.functionals import GROUND_STATE_KINETIC
-from cqnls.grid import RadialField, RadialGrid, free_propagate
+from cqnls.functionals import GROUND_STATE_KINETIC, chi, chi_derivatives
+from cqnls.grid import RadialField, RadialGrid, SpectralPlan, free_propagate, radial_derivative
 
 from conftest import gaussian, random_smooth_field
 
@@ -243,7 +243,7 @@ def test_stepper_config_rejects_nonpositive_or_nonfinite(name, bad):
 
 @settings(max_examples=40, deadline=None)
 @given(morawetz=st.none() | st.floats(1e-3, 1e3), flux=st.none() | st.floats(1e-3, 1e3),
-       evac=st.floats(1e-3, 1e3), dt=st.floats(1e-6, 1.0), steps=st.floats(1.0, 1e4))
+       evac=st.floats(1e-3, 1e3), dt=st.floats(1e-6, 1.0), steps=st.integers(1, 10**4))
 def test_valid_stepper_config_round_trips(morawetz, flux, evac, dt, steps):
     from cqnls.config import ExperimentConfig, from_dict
 
@@ -286,3 +286,134 @@ def test_no_gradient_trigger_no_detector_quantities(grid64):
     _, outcome = evolve(gaussian(grid64, amplitude=0.3), cfg)
     assert not outcome.evidence["gradient_fired"]
     assert "tail_fraction" not in outcome.evidence
+
+
+def test_stepper_config_rejects_fractional_step_count():
+    """dt = 0.3 does not divide t_end = 1.0: refused rather than stopped at t = 0.9."""
+    with pytest.raises(ContractError, match="whole number of steps"):
+        StepperConfig(dt=0.3, t_end=1.0)
+    traj, _ = evolve(gaussian(RadialGrid(16.0, 63), 0.3), StepperConfig(dt=0.1, t_end=0.3))
+    assert len(traj.times) == 4 and traj.times[-1] == pytest.approx(0.3, rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dt=st.floats(1e-4, 1.0), steps=st.integers(1, 10**4), frac=st.floats(1e-3, 0.999))
+def test_stepper_config_rejects_partial_last_step(dt, steps, frac):
+    with pytest.raises(ContractError, match="whole number of steps"):
+        StepperConfig(dt=dt, t_end=dt * (steps + frac))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dt=st.floats(1e-6, 1.0), steps=st.integers(1, 10**6))
+def test_stepper_config_accepts_whole_step_counts(dt, steps):
+    assert round(StepperConfig(dt=dt, t_end=dt * steps).t_end / dt) == steps
+
+
+def _phase_ref(v, dt):
+    a2 = np.abs(v) ** 2
+    return v * np.exp(-1j * dt * (a2 - a2 * a2))
+
+
+def _old_step(v, r, half, dt):
+    """Reference Strang step written out on scipy's DST-I, each complex transform
+    being scipy's two real ones: transform, half-step, invert, phase, and again."""
+    from scipy.fft import dst, idst
+
+    v = idst(half * dst(r * v, type=1), type=1) / r
+    v = _phase_ref(v, dt)
+    return idst(half * dst(r * v, type=1), type=1) / r
+
+
+def _chirped(grid, amplitude=1.0, chirp=0.2):
+    r = grid.nodes
+    return RadialField(grid, amplitude * np.exp(-(r**2) + 1j * chirp * r**2))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.05])
+def test_strang_step_matches_old_formula_bitwise(dt):
+    # below 16384 nodes, where numpy reuses no temporary in place (see grid._sine_transform)
+    grid = RadialGrid(32.0, 255)
+    u = _chirped(grid, 1.3)
+    half = np.exp(-0.5j * SpectralPlan.for_grid(grid).eigenvalues * dt)
+    expected = _old_step(u.values, grid.nodes, half, dt)
+    assert strang_step(u, dt).values.tobytes() == expected.tobytes()
+
+
+def test_sponge_evolve_matches_old_formula_bitwise():
+    """The sponge acts in physical space, so every step transforms r*v afresh, as before."""
+    import cqnls.dynamics as dyn
+
+    grid = RadialGrid(32.0, 255)
+    cfg = StepperConfig(dt=2e-3, t_end=0.1, snapshot_stride=1, sponge=True, sponge_strength=50.0)
+    traj, _ = evolve(_chirped(grid, 1.3), cfg)
+    half = np.exp(-0.5j * SpectralPlan.for_grid(grid).eigenvalues * cfg.dt)
+    sponge = np.exp(-cfg.dt * dyn._sponge_profile(grid, cfg.sponge_strength))
+    v = _chirped(grid, 1.3).values
+    assert len(traj.snapshots) == 51
+    for k, snap in enumerate(traj.snapshots):
+        if k:
+            v = _old_step(v, grid.nodes, half, cfg.dt) * sponge
+        assert snap.values.tobytes() == v.tobytes()
+        assert traj.series["mass"][k] == np.sum(grid.weights * np.abs(v) ** 2)
+        assert traj.series["l6_local"][k] == np.sum(
+            grid.weights[grid.nodes <= cfg.evacuation_radius]
+            * (np.abs(v) ** 2)[grid.nodes <= cfg.evacuation_radius] ** 3)
+
+
+def test_sponge_free_evolve_matches_strang_steps(grid64):
+    """Carrying the sine coefficients between steps changes roundoff only."""
+    u0 = _chirped(grid64, 1.2)
+    cfg = StepperConfig(dt=1e-3, t_end=0.2, snapshot_stride=20)
+    traj, _ = evolve(u0, cfg)
+    u = u0
+    for k in range(1, 201):
+        u = strang_step(u, cfg.dt)
+        if k % 20 == 0:
+            got = traj.snapshots[k // 20].values
+            assert np.max(np.abs(got - u.values)) <= 1e-12 * np.max(np.abs(u.values))
+    mass = traj.series["mass"]
+    assert np.max(np.abs(mass - mass[0])) / mass[0] / cfg.t_end <= 1e-10  # criterion 2
+
+
+@pytest.mark.parametrize("sponge, per_step, extra", [(False, 3, 1), (True, 4, 0)])
+def test_transforms_per_step(monkeypatch, sponge, per_step, extra):
+    """Sponge-free runs carry the coefficients (3 transforms a step plus the first);
+    the sponge damps in physical space, so each step transforms again (4)."""
+    calls = {"n": 0}
+    for name in ("forward", "inverse"):
+        original = getattr(SpectralPlan, name)
+
+        def counted(self, x, _original=original):
+            calls["n"] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(SpectralPlan, name, counted)
+    cfg = StepperConfig(dt=1e-3, t_end=0.03, snapshot_stride=7, sponge=sponge,
+                        morawetz_radius=4.0, flux_radius=4.0)
+    traj, outcome = evolve(_chirped(RadialGrid(16.0, 127), 0.8), cfg)
+    assert outcome.evidence["completed"] and len(traj.times) == 31
+    assert calls["n"] == per_step * 30 + extra
+
+
+_FLUX_GRID = RadialGrid(16.0, 63)
+_DR = _FLUX_GRID.dr
+
+
+@settings(max_examples=40, deadline=None)
+@given(R=st.sampled_from([0.3 * _DR, _DR, 2.5 * _DR, 3 * _DR, 3.5 * _DR, 16.0 - 2.5 * _DR,
+                          16.0 - 2 * _DR, 16.0 - _DR, 16.0 - 0.5 * _DR, 16.0])
+       | st.floats(0.3 * _DR, 16.0))
+def test_flux_rhs_equals_full_grid_formula(R):
+    """d|u|^4/dr taken only where chi_R or chi_R' is nonzero leaves flux_rhs unchanged,
+    from radii below the first node through radii within two nodes of r_max."""
+    grid = _FLUX_GRID
+    cfg = StepperConfig(dt=1e-3, t_end=4e-3, snapshot_stride=1, flux_radius=R)
+    traj, _ = evolve(_chirped(grid, 1.1, chirp=0.5), cfg)
+    s = grid.nodes / R
+    ch, dch = chi(s), chi_derivatives(s)[0] / R
+    for k, snap in enumerate(traj.snapshots):
+        vals = snap.values
+        current = np.imag(np.conj(vals) * radial_derivative(grid, vals))
+        a4 = (np.abs(vals) ** 2) ** 2
+        grad_chi_u4 = dch * a4 + ch * radial_derivative(grid, a4)
+        assert traj.series["flux_rhs"][k] == 6.0 * np.sum(grid.weights * grad_chi_u4 * current)
