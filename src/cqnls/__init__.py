@@ -7,7 +7,6 @@ from .grid import (
     RadialGrid,
     SpectralPlan,
     free_propagate,
-    gradient_norm_sq,
     integrate_ball,
     laplacian,
 )

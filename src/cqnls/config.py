@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -100,14 +101,19 @@ def _coerce(raw, default):
         if str(raw).lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"expected a boolean, got {raw!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(raw, bool):
+        raise ConfigError(f"boolean {raw!r} given for a non-boolean field")
+    if isinstance(default, int):  # no truncation: 2047.9 must not become 2047
+        integral = isinstance(raw, float) and raw.is_integer()
+        if not (integral or isinstance(raw, (numbers.Integral, str))):
+            raise ConfigError(f"expected an integer, got {raw!r}")
         return int(raw)
     if isinstance(default, float):
         return float(raw)
     if isinstance(default, tuple):
-        if isinstance(raw, (list, tuple)):
-            return tuple(float(x) for x in raw)
-        return tuple(float(x) for x in str(raw).split(",") if x.strip())
+        if not isinstance(raw, (list, tuple)):
+            raw = [x for x in str(raw).split(",") if x.strip()]
+        return tuple(_coerce(x, 0.0) for x in raw)
     if default is None or isinstance(default, (str, type(None))):
         if raw in ("", "none", "None", None):
             return None if default is None else ""
@@ -117,6 +123,13 @@ def _coerce(raw, default):
     return raw
 
 
+def _coerce_field(raw, default, key: str, where: str):
+    try:
+        return _coerce(raw, default)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r} in section [{where}]: {exc}") from exc
+
+
 def _build_section(cls, mapping: dict, where: str):
     kwargs = {}
     defaults = cls()
@@ -124,10 +137,7 @@ def _build_section(cls, mapping: dict, where: str):
     for key, raw in mapping.items():
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in section [{where}]")
-        try:
-            kwargs[key] = _coerce(raw, getattr(defaults, key))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r} in section [{where}]: {exc}") from exc
+        kwargs[key] = _coerce_field(raw, getattr(defaults, key), key, where)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -139,8 +149,7 @@ def from_dict(d: dict) -> ExperimentConfig:
     kwargs = {}
     for name in _TOP_LEVEL:
         if name in d:
-            default = getattr(ExperimentConfig(), name)
-            kwargs[name] = _coerce(d.pop(name), default)
+            kwargs[name] = _coerce_field(d.pop(name), getattr(ExperimentConfig(), name), name, "run")
     for sec, cls in _SECTIONS.items():
         if sec in d:
             kwargs[sec] = _build_section(cls, d.pop(sec) or {}, sec)

@@ -27,9 +27,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ContractError
-from .functionals import chi, chi_derivatives
+from .functionals import chi_profile, local_l6, report
 from .grid import FieldDerivative, RadialField, SpectralPlan, radial_derivative
-from .morawetz import morawetz_action, morawetz_rate, weight_build
+from .morawetz import centred_residual, morawetz_action, morawetz_rate, weight_build
 
 SCATTERED = "Scattered"
 BLEW_UP = "BlewUp"
@@ -146,9 +146,7 @@ def _flux_weights(grid, R: float):
     """chi_R, chi_R', the leading slice of nodes where either is nonzero, and the
     leading window whose d|u|^4/dr equals the full-grid one on that slice: 2 nodes
     longer for the stencil's reach, or the whole grid if that is too short or too long."""
-    s = grid.nodes / R
-    ch = chi(s)
-    dch = chi_derivatives(s)[0] / R
+    ch, dch, _ = chi_profile(grid, R)
     k = np.flatnonzero((ch != 0) | (dch != 0)).max(initial=-1) + 1
     return ch, dch, slice(k), slice(k + 2 if 5 <= k + 2 <= grid.n else grid.n)
 
@@ -167,7 +165,6 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     n_steps = round(cfg.t_end / dt)
     half = np.exp(-0.5j * plan.eigenvalues * dt)
     sponge_mult = np.exp(-dt * _sponge_profile(grid, cfg.sponge_strength)) if cfg.sponge else None
-    evac_mask = r <= cfg.evacuation_radius
     tail_mask = np.arange(1, grid.n + 1) > (2 * grid.n) // 3
 
     weight = weight_build(cfg.morawetz_radius) if cfg.morawetz_radius is not None else None
@@ -188,25 +185,22 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     state = RadialField(grid, v)
 
     def record(i: int, vals: NDArray) -> None:
-        du = FieldDerivative(vals, radial_derivative(grid, vals))
-        a2 = du.a2
-        kin = float(np.sum(qw * du.du2))
-        l4 = float(np.sum(qw * a2 * a2))
-        l6 = float(np.sum(qw * a2**3))
-        series["mass"][i] = np.sum(qw * a2)
-        series["kinetic"][i] = kin
-        series["energy"][i] = kin / 2 + l4 / 4 - l6 / 6
-        series["l6_local"][i] = np.sum(qw[evac_mask] * a2[evac_mask] ** 3)
+        state.values = vals
+        du = FieldDerivative(state)
+        rep = report(state, du)
+        series["mass"][i] = rep.mass
+        series["kinetic"][i] = rep.kinetic
+        series["energy"][i] = rep.energy
+        series["l6_local"][i] = local_l6(state, cfg.evacuation_radius, du)
         if weight is not None:
-            state.values = vals
             series["morawetz_m"][i] = morawetz_action(state, weight, du)
             for name, val in zip(("morawetz_main", "morawetz_err1", "morawetz_err2"),
                                  morawetz_rate(state, weight, du)):
                 series[name][i] = val
         if flux is not None:
             ch, dch, support, window = flux
-            a4 = a2 * a2
-            series["flux_chi_l6"][i] = np.sum(qw * ch * a2**3)
+            a4 = du.a2 * du.a2
+            series["flux_chi_l6"][i] = np.sum(qw * ch * du.a6)
             d_a4 = np.zeros_like(a4)  # zero where chi_R and chi_R' are
             d_a4[support] = radial_derivative(grid, a4[window])[support]
             grad_chi_u4 = dch * a4 + ch * d_a4
@@ -284,11 +278,4 @@ def flux_identity_residual(traj, R: float) -> float:
     """
     if traj.series_meta.get("flux_radius") != R:
         raise ContractError("trajectory was recorded with a different flux radius")
-    t = traj.times
-    g = traj.series["flux_chi_l6"]
-    rhs = traj.series["flux_rhs"]
-    if len(t) < 3:
-        raise ContractError("need at least three recorded steps")
-    fd = (g[2:] - g[:-2]) / (t[2:] - t[:-2])
-    res = np.abs(fd - rhs[1:-1]) / (1.0 + np.abs(rhs[1:-1]))
-    return float(np.max(res))
+    return centred_residual(traj.times, traj.series["flux_chi_l6"], traj.series["flux_rhs"])

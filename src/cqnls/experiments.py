@@ -20,10 +20,12 @@ from . import storage
 from .config import ExperimentConfig, GridSpec, InitialData
 from .dynamics import BLEW_UP, SCATTERED, StepperConfig, Trajectory, evolve, strang_step
 from .errors import ConfigError, ContractError
-from .functionals import GROUND_STATE_KINETIC, report, spacetime_norm
-from .grid import RadialField, RadialGrid, SpectralPlan, free_propagate, integrate_ball
+from .functionals import GROUND_STATE_KINETIC, chi, cutoff_identity_residual, report, spacetime_norm
+from .grid import (RadialField, RadialGrid, SpectralPlan, cubic_resample, free_propagate,
+                   integrate_ball, laplacian)
 from .morawetz import averaged_local_l6, identity_residual, series_from_trajectory, weight_build
-from .variational import K_MINUS, K_PLUS, classify, ground_state, thresholds
+from .variational import (K_MINUS, K_PLUS, Thresholds, classify, cubic_barrier, ground_state,
+                          threshold_grid, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -40,16 +42,12 @@ def build_initial(grid: RadialGrid, spec: InitialData) -> RadialField:
         for a, w in zip(spec.amplitudes, spec.widths):
             vals = vals + a * np.exp(-((r / w) ** 2))
     elif spec.family == "bubble":
-        from .functionals import chi
-
         vals = spec.amplitude * np.sqrt(spec.scale) * (1.0 + (spec.scale * r) ** 2 / 3.0) ** -0.5
         vals = vals * chi(r / spec.cutoff)
     elif spec.family == "file":
         field, _ = storage.read_snapshot(spec.path)
         if field.grid == grid:
             return field
-        from .grid import cubic_resample
-
         return RadialField(grid, cubic_resample(field, np.minimum(r, field.grid.r_max)))
     else:
         raise ConfigError(f"unknown family {spec.family!r}")
@@ -71,8 +69,6 @@ def sample_below_threshold(grid: RadialGrid, rng: np.random.Generator, count: in
             lam = rng.choice([4.0, 8.0, 16.0])
             a = rng.uniform(1.02, 1.8)
             vals = a * np.sqrt(lam) * (1.0 + (lam * r) ** 2 / 3.0) ** -0.5
-            from .functionals import chi
-
             vals = vals * chi(r / rng.uniform(6.0, 12.0))
             u = RadialField(grid, vals.astype(complex))
         else:
@@ -106,8 +102,6 @@ def run_thresholds(cfg: ExperimentConfig, out: Path) -> dict:
     grid = RadialGrid(cfg.grid.r_max, cfg.grid.n)
     th = thresholds(grid)
     w = ground_state(grid)
-    from .grid import laplacian
-
     residual = float(np.max(np.abs(-laplacian(w).values - w.values**5)))
     summary = {
         "grad_w_sq": th.grad_w_sq,
@@ -122,7 +116,7 @@ def run_thresholds(cfg: ExperimentConfig, out: Path) -> dict:
 
 def run_classify(cfg: ExperimentConfig, out: Path) -> dict:
     grid = RadialGrid(cfg.grid.r_max, cfg.grid.n)
-    th = thresholds(RadialGrid(max(cfg.grid.r_max, 512.0), max(cfg.grid.n, 2**15 - 1)))
+    th = thresholds(threshold_grid(cfg.grid.r_max, cfg.grid.n))
     u = build_initial(grid, cfg.initial)
     cls = classify(u, th)
     ledger = out / "classifications.csv"
@@ -181,8 +175,6 @@ def find_kminus_amplitude(grid: RadialGrid, th, scale: float = 16.0,
 def _sweep_point(args: tuple) -> dict:
     grid_spec, stepper_dict, initial_dict, th_vals = args
     grid = RadialGrid(grid_spec[0], grid_spec[1])
-    from .variational import Thresholds
-
     th = Thresholds(*th_vals)
     u0 = build_initial(grid, InitialData(**initial_dict))
     cls = classify(u0, th)
@@ -217,7 +209,7 @@ class SweepResult:
 
 
 def run_dichotomy(cfg: ExperimentConfig, out: Path) -> dict:
-    th = thresholds(RadialGrid(max(cfg.grid.r_max, 512.0), max(cfg.grid.n, 2**15 - 1)))
+    th = thresholds(threshold_grid(cfg.grid.r_max, cfg.grid.n))
     th_vals = (th.grad_w_sq, th.w_l6, th.ec_w, th.c3)
     sw = cfg.sweep
     amps = np.arange(sw.amplitude_start, sw.amplitude_stop + sw.amplitude_step / 2,
@@ -362,8 +354,6 @@ def _selftest_checks(seed: int):
     mass = integrate_ball(grid, g.values.real)
     yield "gaussian_quadrature", abs(mass - (np.pi / 2) ** 1.5) < 1e-6, f"{mass:.8f}"
 
-    from .grid import laplacian
-
     eig = RadialField(grid, np.sin(np.pi * r / grid.r_max) / r)
     lap = laplacian(eig, plan)
     res = np.max(np.abs(lap.values + (np.pi / grid.r_max) ** 2 * eig.values))
@@ -377,8 +367,6 @@ def _selftest_checks(seed: int):
     rep = report(u)
     ehk = abs(rep.energy - (rep.h + rep.k / 6)) / max(abs(rep.energy), 1e-30)
     yield "energy_h_k_identity", ehk <= 1e-12, f"{ehk:.2e}"
-
-    from .functionals import cutoff_identity_residual
 
     cres = cutoff_identity_residual(u, 8.0)
     yield "cutoff_identity", cres <= 1e-4, f"{cres:.2e}"
@@ -399,12 +387,10 @@ def _selftest_checks(seed: int):
     rev = np.max(np.abs(back.values - u.values))
     yield "time_reversal", rev <= 1e-10, f"{rev:.2e}"
 
-    th = thresholds(RadialGrid(512.0, 2**15 - 1))
+    th = thresholds(threshold_grid())
     ok = (abs(th.grad_w_sq - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC
           and abs(th.w_l6 - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC)
     yield "thresholds", ok, f"grad_w_sq={th.grad_w_sq:.4f}"
-
-    from .variational import cubic_barrier
 
     root = cubic_barrier(0.0, 0.5)
     yield "cubic_barrier", abs(root - 0.3472963553338607) <= 1e-10, f"{root:.10f}"
@@ -441,12 +427,19 @@ REGISTRY = {
 _EXIT_STATUS = {0: "ok", 1: "config error", 2: "numerical failure", 3: "selftest failure"}
 
 
+def _file_stamps(out: Path) -> dict[str, tuple[int, int, int]]:
+    """(inode, size, mtime) of each file in ``out``; writing a file changes its stamp."""
+    stats = {p.name: p.stat() for p in out.iterdir() if p.is_file()}
+    return {name: (st.st_ino, st.st_size, st.st_mtime_ns) for name, st in stats.items()}
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured experiment; returns a process exit code."""
     out = Path(cfg.out_dir) / cfg.experiment
     out.mkdir(parents=True, exist_ok=True)
     error_path = out / "error.txt"
     error_path.unlink(missing_ok=True)  # left by an earlier failed run
+    before = _file_stamps(out)
     start = time.perf_counter()
     code = 0
     try:
@@ -463,7 +456,8 @@ def run(cfg: ExperimentConfig) -> int:
         if cfg.experiment == "selftest" and summary.get("failures"):
             code = 3
     wall = time.perf_counter() - start
-    artifacts = [p.name for p in out.iterdir() if p.is_file()]
+    artifacts = [name for name, stamp in _file_stamps(out).items()
+                 if before.get(name) != stamp and name != "manifest.json"]
     storage.write_manifest(out / "manifest.json", cfg.to_dict(), wall, artifacts,
                            status=_EXIT_STATUS[code], exit_code=code)
     return code

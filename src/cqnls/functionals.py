@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ContractError
-from .grid import RadialField, RadialGrid, integrate_ball, radial_derivative
+from .grid import FieldDerivative, RadialField, RadialGrid, integrate_ball, radial_derivative
 
 # Closed forms for the static bubble W(r) = (1 + r^2/3)^(-1/2), the optimizer
 # of the sharp Sobolev inequality l6 <= C3 * kinetic^3.  Both the kinetic norm
@@ -59,15 +59,16 @@ class FunctionalReport:
         )
 
 
-def report(u: RadialField) -> FunctionalReport:
-    """Compute all scalar functionals of a field in one pass."""
-    grid = u.grid
-    a2 = np.abs(u.values) ** 2
-    du = radial_derivative(grid, u.values)
-    mass = integrate_ball(grid, a2)
-    kinetic = integrate_ball(grid, np.abs(du) ** 2)
-    l4 = integrate_ball(grid, a2 * a2)
-    l6 = integrate_ball(grid, a2 * a2 * a2)
+def report(u: RadialField, du: FieldDerivative | None = None) -> FunctionalReport:
+    """All scalar functionals of a field in one pass; ``du`` is u's FieldDerivative if held."""
+    if du is None:
+        du = FieldDerivative(u)
+    w = u.grid.weights
+    a2 = du.a2
+    mass = float(np.sum(w * a2))
+    kinetic = float(np.sum(w * du.du2))
+    l4 = float(np.sum(w * a2 * a2))
+    l6 = float(np.sum(w * du.a6))
     return FunctionalReport(
         mass=mass,
         kinetic=kinetic,
@@ -82,13 +83,14 @@ def report(u: RadialField) -> FunctionalReport:
     )
 
 
-def local_l6(u: RadialField, R: float) -> float:
-    """Sextic mass inside the ball of radius R (the evacuation monitor)."""
+def local_l6(u: RadialField, R: float, du: FieldDerivative | None = None) -> float:
+    """Sextic mass on the nodes r <= R, a leading slice (the evacuation monitor)."""
     if R > u.grid.r_max:
         raise ContractError(f"local radius {R} exceeds the domain radius {u.grid.r_max}")
-    mask = u.grid.nodes <= R
-    a2 = np.abs(u.values[mask]) ** 2
-    return float(np.sum(u.grid.weights[mask] * a2**3))
+    if du is None:
+        du = FieldDerivative(u)
+    ball = slice(int(np.count_nonzero(u.grid.nodes <= R)))
+    return float(np.sum(u.grid.weights[ball] * du.a6[ball]))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +128,14 @@ def chi_derivatives(s: NDArray) -> tuple[NDArray, NDArray]:
     return d1, d2
 
 
+def chi_profile(grid: RadialGrid, R: float) -> tuple[NDArray, NDArray, NDArray]:
+    """chi_R(r) = chi(r/R), chi_R' and Lap chi_R = chi_R'' + 2 chi_R'/r on the grid nodes."""
+    s = grid.nodes / R
+    d1, d2 = chi_derivatives(s)
+    chi_r = d1 / R
+    return chi(s), chi_r, d2 / R**2 + 2.0 * chi_r / grid.nodes
+
+
 def cutoff_values(grid: RadialGrid, c: CutoffProfile) -> NDArray:
     if c.kind == "ball-indicator":
         return (grid.nodes <= c.radius).astype(float)
@@ -144,14 +154,8 @@ def cutoff_identity_residual(u: RadialField, R: float) -> float:
     and differentiation are mutually consistent under integration by parts.
     """
     grid = u.grid
-    s = grid.nodes / R
-    ch = chi(s)
-    d1, d2 = chi_derivatives(s)
-    chi_r = d1 / R
-    chi_rr = d2 / R**2
-    lap_chi = chi_rr + 2.0 * chi_r / grid.nodes
-    du = radial_derivative(grid, u.values)
-    lhs = integrate_ball(grid, ch**2 * np.abs(du) ** 2)
+    ch, _, lap_chi = chi_profile(grid, R)
+    lhs = integrate_ball(grid, ch**2 * FieldDerivative(u).du2)
     d_chu = radial_derivative(grid, ch * u.values)
     rhs = integrate_ball(grid, np.abs(d_chu) ** 2) + integrate_ball(
         grid, ch * lap_chi * np.abs(u.values) ** 2

@@ -41,8 +41,8 @@ class RadialGrid:
     n: int = DEFAULT_N
 
     def __post_init__(self):
-        if self.r_max <= 0:
-            raise ContractError("r_max must be positive")
+        if not (self.r_max > 0 and np.isfinite(self.r_max)):
+            raise ContractError("r_max must be positive and finite")
         if self.n < 8:
             raise ContractError("need at least 8 interior nodes")
         self.dr = self.r_max / (self.n + 1)
@@ -157,23 +157,26 @@ def radial_derivative(grid: RadialGrid, values: NDArray) -> NDArray:
 
 
 class FieldDerivative:
-    """du/dr of one state plus the pointwise products built from it.
+    """The pointwise arrays that the diagnostics of one state share.
 
-    |u|^2, |du/dr|^2 and the current Im(conj(u) du/dr) are computed on first
-    use and kept, so the diagnostics of one state share a single derivative.
+    du/dr, |u|^2, |u|^6, |du/dr|^2 and Im(conj(u) du/dr) are computed on first use
+    and kept, so the diagnostics of one state take one derivative and one cube.
     """
 
-    def __init__(self, values: NDArray, du: NDArray):
-        self.values = values
-        self.du = du
+    def __init__(self, u: RadialField):
+        self.grid, self.values = u.grid, u.values
 
-    @classmethod
-    def of(cls, u: RadialField) -> "FieldDerivative":
-        return cls(u.values, radial_derivative(u.grid, u.values))
+    @cached_property
+    def du(self) -> NDArray:
+        return radial_derivative(self.grid, self.values)
 
     @cached_property
     def a2(self) -> NDArray:
         return np.abs(self.values) ** 2
+
+    @cached_property
+    def a6(self) -> NDArray:
+        return self.a2**3
 
     @cached_property
     def du2(self) -> NDArray:
@@ -182,12 +185,6 @@ class FieldDerivative:
     @cached_property
     def current(self) -> NDArray:
         return np.imag(np.conj(self.values) * self.du)
-
-
-def gradient_norm_sq(u: RadialField) -> float:
-    """Kinetic quadratic form: integral of |du/dr|^2 over the ball."""
-    du = radial_derivative(u.grid, u.values)
-    return integrate_ball(u.grid, np.abs(du) ** 2)
 
 
 def _boundary_lift(grid: RadialGrid, w: NDArray) -> NDArray:

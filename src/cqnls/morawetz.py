@@ -236,7 +236,7 @@ def morawetz_action(u: RadialField, w: MorawetzWeight,
     the derivative is taken here.
     """
     if du is None:
-        du = FieldDerivative.of(u)
+        du = FieldDerivative(u)
     return 2.0 * integrate_ball(u.grid, du.current * w.on_grid(u.grid).a_r)
 
 
@@ -264,12 +264,12 @@ def morawetz_rate(u: RadialField, w: MorawetzWeight,
     the derivative is taken here.
     """
     if du is None:
-        du = FieldDerivative.of(u)
+        du = FieldDerivative(u)
     nodes = w.on_grid(u.grid)
     a2 = du.a2
     # 4 Re(conj(u_i) a_ij u_j) = 4 a''|u_r|^2 on radial data; the tangential
     # part 12R/r |angular grad u|^2 of the exterior group is identically 0.
-    dens = nodes.a_rr4 * du.du2 + nodes.delta_a * (a2**2 - (4.0 / 3.0) * a2**3)
+    dens = nodes.a_rr4 * du.du2 + nodes.delta_a * (a2**2 - (4.0 / 3.0) * du.a6)
     weights = u.grid.weights
     lo, hi = nodes.lo, nodes.hi
     main = float(np.sum(weights[:lo] * dens[:lo]))
@@ -327,11 +327,17 @@ def identity_residual(traj, w: MorawetzWeight) -> float:
     ms = series_from_trajectory(traj)
     if traj.series_meta.get("morawetz_radius") != w.R:
         raise ContractError("trajectory was recorded with a different weight radius")
-    rate = ms.rate_main + ms.rate_err1 + ms.rate_err2
     dt = np.diff(ms.times)
     if dt.size >= 2 and np.max(dt) > 1.5 * np.min(dt):
         warnings.warn("unevenly spaced series; residual accuracy degraded")
-    fd = (ms.m_values[2:] - ms.m_values[:-2]) / (ms.times[2:] - ms.times[:-2])
+    return centred_residual(ms.times, ms.m_values, ms.rate_main + ms.rate_err1 + ms.rate_err2)
+
+
+def centred_residual(times: NDArray, values: NDArray, rate: NDArray) -> float:
+    """Max over interior steps of |centred-difference d(values)/dt - rate| / (1 + |rate|)."""
+    if len(times) < 3:
+        raise ContractError("need at least three recorded steps")
+    fd = (values[2:] - values[:-2]) / (times[2:] - times[:-2])
     res = np.abs(fd - rate[1:-1]) / (1.0 + np.abs(rate[1:-1]))
     return float(np.max(res))
 

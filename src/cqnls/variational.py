@@ -25,7 +25,10 @@ from .functionals import (
     GROUND_STATE_KINETIC,
     GROUND_STATE_L6,
     SHARP_SOBOLEV_C3,
+    CutoffProfile,
     FunctionalReport,
+    apply_cutoff,
+    chi_profile,
     report,
 )
 from .grid import RadialField, RadialGrid, cubic_resample, integrate_ball, radial_derivative
@@ -52,6 +55,11 @@ class Thresholds:
     w_l6: float
     ec_w: float
     c3: float
+
+
+def threshold_grid(r_max: float = 0.0, n: int = 0) -> RadialGrid:
+    """The grid thresholds are computed on: (512, 2^15 - 1), or larger where the run's grid is."""
+    return RadialGrid(max(r_max, 512.0), max(n, 2**15 - 1))
 
 
 def thresholds(grid: RadialGrid) -> Thresholds:
@@ -177,8 +185,6 @@ def coercive_on_ball(
     not given it defaults to half the field's own relative gradient margin,
     i.e. the largest delta with kinetic(u) <= (1 - 2*delta) * grad_w_sq.
     """
-    from .functionals import CutoffProfile, apply_cutoff
-
     if delta is None:
         delta = 0.5 * (1.0 - report(u).kinetic / th.grad_w_sq)
     loc = apply_cutoff(u, CutoffProfile("smooth-chi", R))
@@ -196,16 +202,11 @@ def coercive_radius(
     below delta * grad_w_sq / 2, so that localization cannot push the kinetic
     norm past the (1 - delta) ceiling.
     """
-    from .functionals import chi, chi_derivatives
-
     grid = u.grid
     a2 = np.abs(u.values) ** 2
     R = r_start
     while R <= grid.r_max:
-        s = grid.nodes / R
-        ch = chi(s)
-        d1, d2 = chi_derivatives(s)
-        lap_chi = d2 / R**2 + 2.0 * (d1 / R) / grid.nodes
+        ch, _, lap_chi = chi_profile(grid, R)
         corr = abs(integrate_ball(grid, ch * lap_chi * a2))
         if corr < delta * th.grad_w_sq / 2:
             return R
@@ -259,5 +260,6 @@ __all__ = [
     "ground_state",
     "scale_f12",
     "scale_phi",
+    "threshold_grid",
     "thresholds",
 ]

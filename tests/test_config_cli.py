@@ -1,9 +1,12 @@
 """Config parsing round-trips, CLI surface, persistence, reproducibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqnls.cli import main
 from cqnls.config import ExperimentConfig, dump_ini, from_dict, load_config
@@ -275,3 +278,90 @@ def test_classify_experiment(tmp_path):
     ledger = (out / "classify" / "classifications.csv").read_text().splitlines()
     assert ledger[0].startswith("tag,")
     assert ledger[1].startswith("KPlus,")
+
+
+# each integer field: the config dict that sets it, and how to read it back
+_INT_FIELDS = (
+    (lambda v: {"grid": {"n": v}}, lambda cfg: cfg.grid.n),
+    (lambda v: {"stepper": {"snapshot_stride": v}}, lambda cfg: cfg.stepper.snapshot_stride),
+    (lambda v: {"workers": v}, lambda cfg: cfg.workers),
+    (lambda v: {"seed": v}, lambda cfg: cfg.seed),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=st.booleans()
+       | st.floats(allow_nan=True, allow_infinity=True).filter(lambda x: not x.is_integer())
+       | st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()).map(repr)
+       | st.sampled_from([[8], {"n": 8}, "8 nodes"]))
+def test_int_fields_refuse_non_integral_values(value):
+    """No truncation: 2047.9, true, 2.5, NaN or "2047.5" for an int field is a ConfigError."""
+    for build, _ in _INT_FIELDS:
+        with pytest.raises(ConfigError):
+            from_dict(build(value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 10**6), form=st.sampled_from([int, float, str, np.int64]))
+def test_int_fields_accept_integral_values(n, form):
+    for build, read in _INT_FIELDS:
+        got = read(from_dict(build(form(n))))
+        assert got == n and type(got) is int
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "r_max", True), ("stepper", "dt", False), ("stepper", "morawetz_radius", True),
+    ("initial", "amplitudes", [True, 0.2]),
+])
+def test_float_fields_refuse_booleans(section, key, value):
+    with pytest.raises(ConfigError, match="boolean"):
+        from_dict({section: {key: value}})
+
+
+def test_tuple_fields_parse_lists_and_strings():
+    for raw in ([0.5, 2], "0.5, 2", ("0.5", "2")):
+        assert from_dict({"initial": {"widths": raw}}).initial.widths == (0.5, 2.0)
+
+
+def test_shipped_configs_load():
+    configs = sorted((Path(__file__).parent.parent / "configs").glob("*.*"))
+    assert len(configs) == 4
+    for path in configs:
+        assert isinstance(load_config(path), ExperimentConfig)
+
+
+def test_manifest_lists_only_this_runs_files(tmp_path):
+    """Files left by earlier runs and manifest.json itself are not this run's artifacts."""
+    out = tmp_path / "o"
+    base = {"experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+            "initial": {"family": "gaussian", "amplitude": 0.3}}
+    cfgfile = tmp_path / "ev.json"
+    good = dict(base, stepper={"dt": 1e-3, "t_end": 2e-3})
+    cfgfile.write_text(json.dumps(good))
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
+    manifest_path = out / "evolve" / "manifest.json"
+    assert json.loads(manifest_path.read_text())["artifacts"] == ["outcome.json", "series.csv"]
+
+    cfgfile.write_text(json.dumps(dict(base, stepper={"dt": 1e-3, "t_end": 2e-3,
+                                                      "evacuation_radius": 40.0})))
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert json.loads(manifest_path.read_text())["artifacts"] == ["error.txt"]
+
+    cfgfile.write_text(json.dumps(good))
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert json.loads(manifest_path.read_text())["artifacts"] == ["outcome.json", "series.csv"]
+
+
+def test_too_short_morawetz_run_is_a_config_error(tmp_path):
+    """One step leaves no interior step for the dM/dt residual: exit 1, not 2."""
+    cfgfile = tmp_path / "mw.json"
+    cfgfile.write_text(json.dumps({
+        "experiment": "morawetz",
+        "grid": {"r_max": 16.0, "n": 255},
+        "initial": {"family": "gaussian", "amplitude": 0.5},
+        "stepper": {"dt": 1e-3, "t_end": 1e-3, "morawetz_radius": 4.0},
+    }))
+    out = tmp_path / "o"
+    assert main(["morawetz", "--config", str(cfgfile), "--out", str(out)]) == 1
+    error = (out / "morawetz" / "error.txt").read_text()
+    assert "ContractError: need at least three recorded steps" in error

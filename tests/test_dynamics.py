@@ -16,8 +16,10 @@ from cqnls.dynamics import (
     strang_step,
 )
 from cqnls.errors import ContractError
-from cqnls.functionals import GROUND_STATE_KINETIC, chi, chi_derivatives
+from cqnls.functionals import GROUND_STATE_KINETIC, chi, chi_derivatives, local_l6, report
 from cqnls.grid import RadialField, RadialGrid, SpectralPlan, free_propagate, radial_derivative
+
+from cqnls.morawetz import identity_residual, weight_build
 
 from conftest import gaussian, random_smooth_field
 
@@ -417,3 +419,31 @@ def test_flux_rhs_equals_full_grid_formula(R):
         a4 = (np.abs(vals) ** 2) ** 2
         grad_chi_u4 = dch * a4 + ch * radial_derivative(grid, a4)
         assert traj.series["flux_rhs"][k] == 6.0 * np.sum(grid.weights * grad_chi_u4 * current)
+
+
+@pytest.mark.parametrize("amplitude, chirp", [(1.3, 0.2), (0.9, -0.4)])
+def test_recorded_series_are_the_functionals_report(amplitude, chirp):
+    """evolve records mass, kinetic, energy and l6_local through report and local_l6,
+    also when the Morawetz and flux terms share the state's derivative."""
+    grid = RadialGrid(16.0, 255)
+    cfg = StepperConfig(dt=1e-3, t_end=0.05, snapshot_stride=1, evacuation_radius=3.0,
+                        morawetz_radius=4.0, flux_radius=4.0)
+    traj, _ = evolve(_chirped(grid, amplitude, chirp), cfg)
+    assert len(traj.snapshots) == 51
+    for k, snap in enumerate(traj.snapshots):
+        rep = report(snap)
+        assert traj.series["mass"][k] == rep.mass
+        assert traj.series["kinetic"][k] == rep.kinetic
+        assert traj.series["energy"][k] == rep.energy
+        assert traj.series["l6_local"][k] == local_l6(snap, cfg.evacuation_radius)
+
+
+def test_identity_residuals_refuse_short_trajectories():
+    """A centred difference needs three recorded steps; both residuals say so."""
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, morawetz_radius=4.0, flux_radius=4.0)
+    traj, _ = evolve(_chirped(RadialGrid(16.0, 127), 0.8), cfg)
+    assert len(traj.times) == 2
+    with pytest.raises(ContractError, match="three recorded steps"):
+        identity_residual(traj, weight_build(4.0))
+    with pytest.raises(ContractError, match="three recorded steps"):
+        flux_identity_residual(traj, 4.0)

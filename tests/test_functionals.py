@@ -11,13 +11,23 @@ from cqnls.functionals import (
     SHARP_SOBOLEV_C3,
     CutoffProfile,
     apply_cutoff,
+    chi,
+    chi_derivatives,
+    chi_profile,
     cutoff_identity_residual,
     local_l6,
     radial_weighted_sup,
     report,
     spacetime_norm,
 )
-from cqnls.grid import RadialField, RadialGrid, free_propagate, integrate_ball
+from cqnls.grid import (
+    FieldDerivative,
+    RadialField,
+    RadialGrid,
+    free_propagate,
+    integrate_ball,
+    radial_derivative,
+)
 
 from conftest import gaussian, random_smooth_field
 
@@ -217,3 +227,40 @@ def test_spacetime_norm_decays_with_window():
         snaps = [free_propagate(u, t) for t in times]
         vals.append(spacetime_norm(_FakeTraj(times, snaps), 4, np.inf))
     assert vals[0] > vals[1] > vals[2]
+
+
+def test_report_with_shared_derivative(grid64):
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        u = random_smooth_field(grid64, rng)
+        assert report(u, FieldDerivative(u)) == report(u)
+
+
+def test_field_derivative_products(grid64):
+    u = random_smooth_field(grid64, np.random.default_rng(12))
+    du = FieldDerivative(u)
+    a2 = np.abs(u.values) ** 2
+    assert np.array_equal(du.du, radial_derivative(grid64, u.values))
+    assert np.array_equal(du.a2, a2)
+    assert np.array_equal(du.a6, a2**3)
+
+
+@pytest.mark.parametrize("R", [0.01, 1.0, 3.7, 10.0, 64.0])
+def test_local_l6_is_the_masked_sum(grid64, R):
+    u = random_smooth_field(grid64, np.random.default_rng(13))
+    mask = grid64.nodes <= R
+    expected = np.sum(grid64.weights[mask] * (np.abs(u.values) ** 2)[mask] ** 3)
+    assert local_l6(u, R) == expected
+    assert local_l6(u, R, FieldDerivative(u)) == expected
+
+
+@pytest.mark.parametrize("R", [0.01, 1.0, 4.0, 8.0, 37.5, 64.0])
+def test_chi_profile_equals_the_formulas_it_replaces(grid64, R):
+    ch, chi_r, lap_chi = chi_profile(grid64, R)
+    s = grid64.nodes / R
+    d1, d2 = chi_derivatives(s)
+    assert np.array_equal(ch, chi(s))
+    assert np.array_equal(chi_r, chi_derivatives(s)[0] / R)
+    assert np.array_equal(lap_chi, d2 / R**2 + 2.0 * (d1 / R) / grid64.nodes)
+    chi_rr = d2 / R**2
+    assert np.array_equal(lap_chi, chi_rr + 2.0 * (d1 / R) / grid64.nodes)

@@ -11,11 +11,12 @@ from cqnls.grid import (
     RadialGrid,
     SpectralPlan,
     free_propagate,
-    gradient_norm_sq,
     integrate_ball,
     laplacian,
     radial_derivative,
 )
+
+from cqnls.functionals import report
 
 from conftest import gaussian, random_smooth_field
 
@@ -83,7 +84,7 @@ def test_integrate_monotone():
 
 def test_gradient_norm_gaussian(grid64):
     u = gaussian(grid64)
-    assert gradient_norm_sq(u) == pytest.approx(3 * (np.pi / 2) ** 1.5, abs=1e-3)
+    assert report(u).kinetic == pytest.approx(3 * (np.pi / 2) ** 1.5, abs=1e-3)
 
 
 def test_gradient_norm_windowed_constant(grid64):
@@ -99,7 +100,7 @@ def test_gradient_norm_windowed_constant(grid64):
 def test_gradient_norm_truncated_bubble():
     g = RadialGrid(200.0, 2**16)
     u = RadialField(g, (1 + g.nodes**2 / 3.0) ** -0.5)
-    assert gradient_norm_sq(u) == pytest.approx(W_KIN_BALL_200, abs=5e-3)
+    assert report(u).kinetic == pytest.approx(W_KIN_BALL_200, abs=5e-3)
 
 
 def test_laplacian_eigenfunction(grid_default):
@@ -227,3 +228,11 @@ def test_field_validation(grid64):
     bad[0] = np.nan
     with pytest.raises(ContractError):
         RadialField(grid64, bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r_max=st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -0.0])
+       | st.floats(max_value=0.0))
+def test_grid_refuses_bad_radius(r_max):
+    with pytest.raises(ContractError, match="r_max"):
+        RadialGrid(r_max, 63)

@@ -20,6 +20,7 @@ from cqnls.variational import (
     ground_state,
     scale_f12,
     scale_phi,
+    threshold_grid,
     thresholds,
 )
 
@@ -260,3 +261,11 @@ def test_cubic_barrier_errors():
     root = cubic_barrier(0.0, 0.5)
     with pytest.raises(ContractError):
         cubic_barrier(root + 0.01, 0.5)  # hypothesis violated: y0 above the barrier
+
+
+def test_threshold_grid():
+    """(512, 2^15 - 1) unless the run's grid is larger in either dimension."""
+    assert threshold_grid() == RadialGrid(512.0, 2**15 - 1)
+    assert threshold_grid(64.0, 2047) == RadialGrid(512.0, 2**15 - 1)
+    assert threshold_grid(1024.0, 2047) == RadialGrid(1024.0, 2**15 - 1)
+    assert threshold_grid(64.0, 2**16 - 1) == RadialGrid(512.0, 2**16 - 1)
