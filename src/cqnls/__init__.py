@@ -2,6 +2,8 @@
 i u_t + Lap u = |u|^2 u - |u|^4 u: spectral stepping, variational
 thresholds, Morawetz monitors, and the scattering/blowup dichotomy."""
 
+__version__ = "0.1.0"  # set before the imports below, so any submodule may read it
+
 from .grid import (
     RadialField,
     RadialGrid,
@@ -51,5 +53,3 @@ from .morawetz import (
     weight_build,
 )
 from .config import ExperimentConfig, load_config
-
-__version__ = "0.1.0"

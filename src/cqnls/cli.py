@@ -32,7 +32,7 @@ def main(argv=None) -> int:
             replacements["out_dir"] = args.out
         elif not args.config and "CQNLS_OUT_ROOT" in os.environ:
             replacements["out_dir"] = os.environ["CQNLS_OUT_ROOT"]
-        if args.workers:
+        if args.workers is not None:
             replacements["workers"] = args.workers
         cfg = dataclasses.replace(cfg, **replacements)
     except ConfigError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -64,6 +65,13 @@ class SweepSpec:
     amplitude_step: float = 0.1
     include_bubble: bool = True  # append the cutoff-bubble blowup preset
 
+    def __post_init__(self):
+        start, stop = self.amplitude_start, self.amplitude_stop
+        if not (math.isfinite(start) and math.isfinite(stop) and start <= stop):
+            raise ConfigError("amplitude_start and amplitude_stop must be finite, start <= stop")
+        if not (self.amplitude_step > 0 and math.isfinite(self.amplitude_step)):
+            raise ConfigError("amplitude_step must be positive and finite")
+
 
 @dataclass
 class ExperimentConfig:
@@ -79,6 +87,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {self.workers}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

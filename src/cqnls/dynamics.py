@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from .errors import ContractError
 from .functionals import chi_profile, local_l6, report
-from .grid import FieldDerivative, RadialField, SpectralPlan, radial_derivative
+from .grid import FieldDerivative, RadialField, SpectralPlan, radial_derivative_on
 from .morawetz import centred_residual, morawetz_action, morawetz_rate, weight_build
 
 SCATTERED = "Scattered"
@@ -62,6 +62,8 @@ class StepperConfig:
             raise ContractError(f"t_end {self.t_end} is not a whole number of steps of dt {self.dt}")
         if self.snapshot_stride < 1:
             raise ContractError("snapshot_stride must be a positive integer")
+        if not (self.sponge_strength >= 0 and math.isfinite(self.sponge_strength)):
+            raise ContractError("sponge_strength must be nonnegative and finite")
         if self.blowup_gradient_factor <= 1:
             raise ContractError("blowup_gradient_factor must exceed 1")
         if not (0 < self.evacuation_epsilon < 1):
@@ -143,12 +145,10 @@ def _sponge_profile(grid, strength: float) -> NDArray:
 
 
 def _flux_weights(grid, R: float):
-    """chi_R, chi_R', the leading slice of nodes where either is nonzero, and the
-    leading window whose d|u|^4/dr equals the full-grid one on that slice: 2 nodes
-    longer for the stencil's reach, or the whole grid if that is too short or too long."""
+    """chi_R, chi_R' and the count k of leading nodes past which both vanish."""
     ch, dch, _ = chi_profile(grid, R)
     k = np.flatnonzero((ch != 0) | (dch != 0)).max(initial=-1) + 1
-    return ch, dch, slice(k), slice(k + 2 if 5 <= k + 2 <= grid.n else grid.n)
+    return ch, dch, int(k)
 
 
 def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]:
@@ -198,11 +198,11 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
                                  morawetz_rate(state, weight, du)):
                 series[name][i] = val
         if flux is not None:
-            ch, dch, support, window = flux
+            ch, dch, k = flux
             a4 = du.a2 * du.a2
             series["flux_chi_l6"][i] = np.sum(qw * ch * du.a6)
             d_a4 = np.zeros_like(a4)  # zero where chi_R and chi_R' are
-            d_a4[support] = radial_derivative(grid, a4[window])[support]
+            d_a4[:k] = radial_derivative_on(grid, a4, 0, k)
             grad_chi_u4 = dch * a4 + ch * d_a4
             series["flux_rhs"][i] = 6.0 * np.sum(qw * grad_chi_u4 * du.current)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,8 @@ from .functionals import GROUND_STATE_KINETIC, chi, cutoff_identity_residual, re
 from .grid import (RadialField, RadialGrid, SpectralPlan, cubic_resample, free_propagate,
                    integrate_ball, laplacian)
 from .morawetz import averaged_local_l6, identity_residual, series_from_trajectory, weight_build
-from .variational import (K_MINUS, K_PLUS, Thresholds, classify, cubic_barrier, ground_state,
-                          threshold_grid, thresholds)
+from .variational import (BUBBLE_THRESHOLDS, K_MINUS, K_PLUS, Thresholds, bubble, classify,
+                          cubic_barrier, ground_state, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +42,7 @@ def build_initial(grid: RadialGrid, spec: InitialData) -> RadialField:
         for a, w in zip(spec.amplitudes, spec.widths):
             vals = vals + a * np.exp(-((r / w) ** 2))
     elif spec.family == "bubble":
-        vals = spec.amplitude * np.sqrt(spec.scale) * (1.0 + (spec.scale * r) ** 2 / 3.0) ** -0.5
-        vals = vals * chi(r / spec.cutoff)
+        vals = bubble(r, spec.amplitude, spec.scale) * chi(r / spec.cutoff)
     elif spec.family == "file":
         field, _ = storage.read_snapshot(spec.path)
         if field.grid == grid:
@@ -68,8 +67,7 @@ def sample_below_threshold(grid: RadialGrid, rng: np.random.Generator, count: in
         if rng.uniform() < 0.35:
             lam = rng.choice([4.0, 8.0, 16.0])
             a = rng.uniform(1.02, 1.8)
-            vals = a * np.sqrt(lam) * (1.0 + (lam * r) ** 2 / 3.0) ** -0.5
-            vals = vals * chi(r / rng.uniform(6.0, 12.0))
+            vals = bubble(r, a, lam) * chi(r / rng.uniform(6.0, 12.0))
             u = RadialField(grid, vals.astype(complex))
         else:
             vals = np.zeros(grid.n, dtype=complex)
@@ -116,9 +114,8 @@ def run_thresholds(cfg: ExperimentConfig, out: Path) -> dict:
 
 def run_classify(cfg: ExperimentConfig, out: Path) -> dict:
     grid = RadialGrid(cfg.grid.r_max, cfg.grid.n)
-    th = thresholds(threshold_grid(cfg.grid.r_max, cfg.grid.n))
     u = build_initial(grid, cfg.initial)
-    cls = classify(u, th)
+    cls = classify(u)
     ledger = out / "classifications.csv"
     header = "tag,energy_margin,k_value,grad_margin,descriptor\n"
     line = (f"{cls.tag},{cls.energy_margin!r},{cls.k_value!r},"
@@ -157,11 +154,11 @@ def run_evolve(cfg: ExperimentConfig, out: Path) -> dict:
 # the dichotomy blowup preset: a concentrated cutoff bubble needs a finer
 # grid than the sweep's gaussians; tuned so classify() lands in KMinus
 _BUBBLE_GRID = GridSpec(r_max=64.0, n=2**14 - 1)
-_BUBBLE_STEPPER = dict(dt=5e-5, t_end=2.0, snapshot_stride=10**9)
+_BUBBLE_STEPPER = dict(dt=5e-5, t_end=2.0)
 
 
-def find_kminus_amplitude(grid: RadialGrid, th, scale: float = 16.0,
-                          cutoff: float = 10.0) -> float:
+def find_kminus_amplitude(grid: RadialGrid, th: Thresholds = BUBBLE_THRESHOLDS,
+                          scale: float = 16.0, cutoff: float = 10.0) -> float:
     """Smallest bubble amplitude (0.01 steps) with k < 0 and energy below ec_w."""
     for a in np.arange(1.05, 2.0, 0.01):
         u = build_initial(grid, InitialData(family="bubble", amplitude=float(a),
@@ -172,17 +169,15 @@ def find_kminus_amplitude(grid: RadialGrid, th, scale: float = 16.0,
     raise ContractError("no KMinus amplitude found in the scanned range")
 
 
-def _sweep_point(args: tuple) -> dict:
-    grid_spec, stepper_dict, initial_dict, th_vals = args
-    grid = RadialGrid(grid_spec[0], grid_spec[1])
-    th = Thresholds(*th_vals)
-    u0 = build_initial(grid, InitialData(**initial_dict))
-    cls = classify(u0, th)
-    traj, outcome = evolve(u0, StepperConfig(**stepper_dict))
+def _sweep_point(args: tuple[GridSpec, StepperConfig, InitialData]) -> dict:
+    grid_spec, stepper, initial = args
+    u0 = build_initial(RadialGrid(grid_spec.r_max, grid_spec.n), initial)
+    cls = classify(u0)
+    traj, outcome = evolve(u0, stepper)
     rep = cls.report
     return {
-        "amplitude": initial_dict.get("amplitude", 0.0),
-        "family": initial_dict["family"],
+        "amplitude": initial.amplitude,
+        "family": initial.family,
         "classification": cls.tag,
         "outcome": outcome.tag,
         "t_event": outcome.t_event if outcome.t_event is not None else "",
@@ -209,28 +204,19 @@ class SweepResult:
 
 
 def run_dichotomy(cfg: ExperimentConfig, out: Path) -> dict:
-    th = thresholds(threshold_grid(cfg.grid.r_max, cfg.grid.n))
-    th_vals = (th.grad_w_sq, th.w_l6, th.ec_w, th.c3)
     sw = cfg.sweep
     amps = np.arange(sw.amplitude_start, sw.amplitude_stop + sw.amplitude_step / 2,
                      sw.amplitude_step)
-    stepper_dict = {f: getattr(cfg.stepper, f) for f in (
-        "dt", "t_end", "snapshot_stride", "sponge", "sponge_strength",
-        "blowup_gradient_factor", "evacuation_radius", "evacuation_epsilon")}
-    stepper_dict["snapshot_stride"] = 10**9  # sweeps keep series only
-    points = [
-        ((cfg.grid.r_max, cfg.grid.n), stepper_dict,
-         {"family": "gaussian", "amplitude": float(a), "width": cfg.initial.width
-          if cfg.initial.family == "gaussian" else 1.0}, th_vals)
-        for a in amps
-    ]
+    # sweeps keep the scalar series of the nonlinear flow only
+    stepper = replace(cfg.stepper, snapshot_stride=10**9, linear=False,
+                      morawetz_radius=None, flux_radius=None)
+    width = cfg.initial.width if cfg.initial.family == "gaussian" else 1.0
+    points = [(cfg.grid, stepper, InitialData(family="gaussian", amplitude=float(a), width=width))
+              for a in amps]
     if sw.include_bubble:
-        bubble_grid = RadialGrid(_BUBBLE_GRID.r_max, _BUBBLE_GRID.n)
-        a_minus = find_kminus_amplitude(bubble_grid, th)
-        bubble_stepper = dict(stepper_dict)
-        bubble_stepper.update(_BUBBLE_STEPPER, sponge=False)
-        points.append(((_BUBBLE_GRID.r_max, _BUBBLE_GRID.n), bubble_stepper,
-                       {"family": "bubble", "amplitude": a_minus}, th_vals))
+        a_minus = find_kminus_amplitude(RadialGrid(_BUBBLE_GRID.r_max, _BUBBLE_GRID.n))
+        points.append((_BUBBLE_GRID, replace(stepper, sponge=False, **_BUBBLE_STEPPER),
+                       InitialData(family="bubble", amplitude=a_minus)))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_sweep_point, points))
@@ -387,7 +373,7 @@ def _selftest_checks(seed: int):
     rev = np.max(np.abs(back.values - u.values))
     yield "time_reversal", rev <= 1e-10, f"{rev:.2e}"
 
-    th = thresholds(threshold_grid())
+    th = thresholds(RadialGrid(512.0, 2**15 - 1))
     ok = (abs(th.grad_w_sq - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC
           and abs(th.w_l6 - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC)
     yield "thresholds", ok, f"grad_w_sq={th.grad_w_sq:.4f}"

@@ -156,6 +156,17 @@ def radial_derivative(grid: RadialGrid, values: NDArray) -> NDArray:
     return d
 
 
+def radial_derivative_on(grid: RadialGrid, values: NDArray, lo: int, hi: int) -> NDArray:
+    """radial_derivative(grid, values)[lo:hi], from a slice of at least 5 nodes whose
+    ends are grid ends or two nodes past [lo, hi) (the 5-point stencil's reach)."""
+    if hi <= lo:
+        return values[:0]
+    a, b = max(lo - 2, 0), min(hi + 2, grid.n)
+    if b - a < 5:
+        a, b = (0, 5) if a == 0 else (b - 5, b)
+    return radial_derivative(grid, values[a:b])[lo - a:hi - a]
+
+
 class FieldDerivative:
     """The pointwise arrays that the diagnostics of one state share.
 

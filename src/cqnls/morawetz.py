@@ -41,7 +41,7 @@ from .grid import (
     RadialField,
     RadialGrid,
     integrate_ball,
-    radial_derivative,
+    radial_derivative_on,
 )
 from .functionals import local_l6
 
@@ -156,7 +156,6 @@ class WeightNodes:
     a_rr4: NDArray  # 4 a''
     delta_a: NDArray
     weighted_delta_a_prime: NDArray  # quadrature weight times (Delta a)' on the annulus
-    pad: tuple[int, int]  # annulus plus the reach of the derivative stencil
     edge: CubicPoint  # u(2R)
 
     @classmethod
@@ -164,12 +163,6 @@ class WeightNodes:
         r = grid.nodes
         lo = int(np.count_nonzero(r <= w.R))
         hi = grid.n - int(np.count_nonzero(r > 2 * w.R))
-        # radial_derivative on nodes[a:b] reproduces the full-grid values on
-        # the annulus when each end of the slice is either the end of the
-        # grid or two nodes past the annulus (the 5-point stencil's reach)
-        a, b = max(lo - 2, 0), min(hi + 2, grid.n)
-        if b - a < 5:
-            a, b = (0, 5) if a == 0 else (b - 5, b)
         return cls(
             lo=lo,
             hi=hi,
@@ -177,16 +170,8 @@ class WeightNodes:
             a_rr4=4.0 * w.a_rr(r),
             delta_a=w.delta_a(r),
             weighted_delta_a_prime=grid.weights[lo:hi] * w.delta_a_prime(r[lo:hi]),
-            pad=(a, b),
             edge=CubicPoint.at(grid, 2.0 * w.R),
         )
-
-    def annulus_derivative(self, grid: RadialGrid, values: NDArray) -> NDArray:
-        """radial_derivative(grid, values) restricted to the annulus."""
-        if self.hi == self.lo:
-            return values[:0]
-        a, b = self.pad
-        return radial_derivative(grid, values[a:b])[self.lo - a:self.hi - a]
 
 
 def weight_build(R: float, scan_points: int = 1001) -> MorawetzWeight:
@@ -250,7 +235,7 @@ def _bilaplacian_term(u: RadialField, w: MorawetzWeight, nodes: WeightNodes,
     4 pi (2R)^2 (Delta a)'(2R) |u(2R)|^2 = -24 pi R |u(2R)|^2
     (the inner surface vanishes since Delta a is constant there).
     """
-    da2 = nodes.annulus_derivative(u.grid, a2)
+    da2 = radial_derivative_on(u.grid, a2, nodes.lo, nodes.hi)
     smooth = float(np.sum(nodes.weighted_delta_a_prime * da2))
     u_edge = nodes.edge(u.values)
     return 24.0 * np.pi * w.R * float(np.abs(u_edge) ** 2) + smooth

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ContractError
 from .grid import RadialField, RadialGrid
 
@@ -52,7 +53,7 @@ def write_manifest(path, config_dict: dict, wall_time: float, artifacts: list[st
         "exit_code": exit_code,
         "config_hash": config_hash(config_dict),
         "versions": {
-            "cqnls": "0.1.0",
+            "cqnls": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },

@@ -7,9 +7,10 @@ dichotomy threshold is the quintic-only energy at W,
 ec_W = kinetic(W)/3 ~= 4.2737.
 
 W is not square-integrable (|W| ~ sqrt(3)/r), so dynamical experiments use
-cutoff bubbles; the threshold integrals themselves converge absolutely
-(integrands decay like r^-4 and r^-6) and are computed on large grids
-without a cutoff.
+cutoff bubbles.  Classification measures against the closed forms
+(BUBBLE_THRESHOLDS).  The threshold integrals converge absolutely
+(integrands decay like r^-4 and r^-6), and ``thresholds(grid)`` takes them
+by quadrature on a large grid without a cutoff, as a check.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import AccuracyError, ContractError, ResolutionError
 from .functionals import (
@@ -31,24 +33,31 @@ from .functionals import (
     chi_profile,
     report,
 )
-from .grid import RadialField, RadialGrid, cubic_resample, integrate_ball, radial_derivative
+from .grid import RadialField, RadialGrid, cubic_resample, integrate_ball
 
 K_PLUS = "KPlus"
 K_MINUS = "KMinus"
 ABOVE_THRESHOLD = "AboveThreshold"
 
 
+def bubble(r: NDArray, amplitude: float = 1.0, scale: float = 1.0) -> NDArray:
+    """amplitude * sqrt(scale) * W(scale * r); the scaling keeps kinetic and l6 of W."""
+    return amplitude * np.sqrt(scale) * (1.0 + (scale * r) ** 2 / 3.0) ** -0.5
+
+
 def ground_state(grid: RadialGrid) -> RadialField:
     """The bubble W evaluated exactly on the grid nodes."""
-    return RadialField(grid, (1.0 + grid.nodes**2 / 3.0) ** -0.5, meta="W")
+    return RadialField(grid, bubble(grid.nodes), meta="W")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Thresholds:
-    """Quadrature values of the bubble norms on a given grid.
+    """The bubble norms a classification measures against.
 
-    grad_w_sq and w_l6 agree up to domain truncation (the kinetic integrand
-    has an r^-4 tail, so the ball of radius r_max misses ~ 12*pi/r_max).
+    BUBBLE_THRESHOLDS holds the closed forms; ``thresholds(grid)`` gives the
+    quadrature values on one grid, where grad_w_sq and w_l6 agree up to
+    domain truncation (the kinetic integrand has an r^-4 tail, so the ball
+    of radius r_max misses ~ 12*pi/r_max).
     """
 
     grad_w_sq: float
@@ -57,29 +66,21 @@ class Thresholds:
     c3: float
 
 
-def threshold_grid(r_max: float = 0.0, n: int = 0) -> RadialGrid:
-    """The grid thresholds are computed on: (512, 2^15 - 1), or larger where the run's grid is."""
-    return RadialGrid(max(r_max, 512.0), max(n, 2**15 - 1))
+BUBBLE_THRESHOLDS = Thresholds(GROUND_STATE_KINETIC, GROUND_STATE_L6, GROUND_STATE_ENERGY_C,
+                               SHARP_SOBOLEV_C3)
 
 
 def thresholds(grid: RadialGrid) -> Thresholds:
-    """Compute bubble norms and the sharp constant by quadrature."""
+    """The bubble norms by quadrature on ``grid``: a check of the closed forms."""
     if grid.r_max < 100.0:
         raise AccuracyError(
             f"r_max = {grid.r_max} is too small for the slowly decaying bubble; "
             f"the kinetic tail beyond the ball is ~ {12 * math.pi / grid.r_max:.3f} "
             "(need r_max >= 100)"
         )
-    w = ground_state(grid)
-    dw = radial_derivative(grid, w.values.real)
-    grad_w_sq = integrate_ball(grid, dw**2)
-    w_l6 = integrate_ball(grid, w.values.real**6)
-    th = Thresholds(
-        grad_w_sq=grad_w_sq,
-        w_l6=w_l6,
-        ec_w=grad_w_sq / 2 - w_l6 / 6,
-        c3=grad_w_sq**-2,
-    )
+    rep = report(ground_state(grid))
+    th = Thresholds(grad_w_sq=rep.kinetic, w_l6=rep.l6, ec_w=rep.energy_c,
+                    c3=rep.kinetic**-2)
     if abs(th.grad_w_sq - th.w_l6) > 1e-2 * th.grad_w_sq:
         raise AccuracyError(
             f"bubble norms disagree beyond tolerance on this grid: "
@@ -100,7 +101,7 @@ class Classification:
     kbar_agrees: bool  # K-sign test and gradient-comparison test coincide
 
 
-def classify(u: RadialField, th: Thresholds) -> Classification:
+def classify(u: RadialField, th: Thresholds = BUBBLE_THRESHOLDS) -> Classification:
     rep = report(u)
     energy_margin = th.ec_w - rep.energy
     grad_margin = th.grad_w_sq - rep.kinetic
@@ -243,6 +244,7 @@ def cubic_barrier(y0: float, delta0: float) -> float:
 
 __all__ = [
     "ABOVE_THRESHOLD",
+    "BUBBLE_THRESHOLDS",
     "BallCoercivity",
     "Classification",
     "GROUND_STATE_ENERGY_C",
@@ -255,11 +257,11 @@ __all__ = [
     "classify",
     "coercive_on_ball",
     "coercive_radius",
+    "bubble",
     "coercivity_gap",
     "cubic_barrier",
     "ground_state",
     "scale_f12",
     "scale_phi",
-    "threshold_grid",
     "thresholds",
 ]

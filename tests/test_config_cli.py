@@ -365,3 +365,64 @@ def test_too_short_morawetz_run_is_a_config_error(tmp_path):
     assert main(["morawetz", "--config", str(cfgfile), "--out", str(out)]) == 1
     error = (out / "morawetz" / "error.txt").read_text()
     assert "ContractError: need at least three recorded steps" in error
+
+
+@pytest.mark.parametrize("workers", [0, -1, -8])
+def test_workers_below_one_refused(tmp_path, workers):
+    """No silent serial run: a worker count below 1 is a config error, in a config or on the CLI."""
+    with pytest.raises(ConfigError, match="workers"):
+        from_dict({"workers": workers})
+    out = tmp_path / "o"
+    assert main(["selftest", "--workers", str(workers), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+_FINITE = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=_FINITE | st.sampled_from([np.nan, np.inf, -np.inf]),
+       stop=_FINITE | st.sampled_from([np.nan, np.inf, -np.inf]),
+       step=st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+def test_sweep_spec_refuses_empty_or_unbounded_ranges(start, stop, step):
+    """A sweep runs over a finite range start <= stop in positive finite steps, or not at all."""
+    sweep = {"amplitude_start": start, "amplitude_stop": stop, "amplitude_step": step}
+    valid = (np.isfinite(start) and np.isfinite(stop) and start <= stop
+             and np.isfinite(step) and step > 0)
+    if valid:
+        assert from_dict({"sweep": sweep}).sweep.amplitude_step == step
+    else:
+        with pytest.raises(ConfigError, match="amplitude"):
+            from_dict({"sweep": sweep})
+
+
+def test_sweep_ignores_diagnostics_and_linear_flow(tmp_path):
+    """The sweep steps the nonlinear flow without Morawetz or flux terms, whatever the
+    stepper section says; radii beyond the grid would make evolve refuse the run."""
+    from cqnls.config import GridSpec, SweepSpec
+    from cqnls.dynamics import StepperConfig
+    from cqnls.experiments import run_dichotomy
+
+    sweep = SweepSpec(amplitude_start=0.4, amplitude_stop=1.2, amplitude_step=0.4,
+                      include_bubble=False)
+    plain = StepperConfig(dt=4e-3, t_end=0.4, sponge=True)
+    extra = StepperConfig(dt=4e-3, t_end=0.4, sponge=True, linear=True,
+                          morawetz_radius=100.0, flux_radius=100.0)
+    outs = []
+    for name, stepper in (("plain", plain), ("extra", extra)):
+        out = tmp_path / name
+        out.mkdir()
+        cfg = ExperimentConfig(experiment="dichotomy-sweep", grid=GridSpec(r_max=64.0, n=1023),
+                               stepper=stepper, sweep=sweep)
+        run_dichotomy(cfg, out)
+        outs.append((out / "sweep.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_manifest_records_the_package_version(tmp_path):
+    import cqnls
+    from cqnls.storage import write_manifest
+
+    write_manifest(tmp_path / "manifest.json", {"a": 1}, 0.5, [])
+    got = json.loads((tmp_path / "manifest.json").read_text())
+    assert got["versions"]["cqnls"] == cqnls.__version__

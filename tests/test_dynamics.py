@@ -447,3 +447,15 @@ def test_identity_residuals_refuse_short_trajectories():
         identity_residual(traj, weight_build(4.0))
     with pytest.raises(ContractError, match="three recorded steps"):
         flux_identity_residual(traj, 4.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bad=st.floats(max_value=-1e-300) | st.sampled_from([np.inf, -np.inf, np.nan]))
+def test_stepper_config_refuses_negative_or_nonfinite_sponge_strength(bad):
+    """A negative strength would pump mass in through the absorber; NaN poisons the run."""
+    with pytest.raises(ContractError, match="sponge_strength"):
+        StepperConfig(sponge_strength=bad)
+
+
+def test_stepper_config_accepts_zero_sponge_strength():
+    assert StepperConfig(sponge=True, sponge_strength=0.0).sponge_strength == 0.0

@@ -10,8 +10,10 @@ from cqnls.functionals import GROUND_STATE_ENERGY_C, GROUND_STATE_KINETIC, repor
 from cqnls.grid import RadialField, RadialGrid, laplacian
 from cqnls.variational import (
     ABOVE_THRESHOLD,
+    BUBBLE_THRESHOLDS,
     K_MINUS,
     K_PLUS,
+    bubble,
     classify,
     coercive_on_ball,
     coercive_radius,
@@ -20,7 +22,6 @@ from cqnls.variational import (
     ground_state,
     scale_f12,
     scale_phi,
-    threshold_grid,
     thresholds,
 )
 
@@ -263,9 +264,32 @@ def test_cubic_barrier_errors():
         cubic_barrier(root + 0.01, 0.5)  # hypothesis violated: y0 above the barrier
 
 
-def test_threshold_grid():
-    """(512, 2^15 - 1) unless the run's grid is larger in either dimension."""
-    assert threshold_grid() == RadialGrid(512.0, 2**15 - 1)
-    assert threshold_grid(64.0, 2047) == RadialGrid(512.0, 2**15 - 1)
-    assert threshold_grid(1024.0, 2047) == RadialGrid(1024.0, 2**15 - 1)
-    assert threshold_grid(64.0, 2**16 - 1) == RadialGrid(512.0, 2**16 - 1)
+@pytest.mark.parametrize("amplitude", [0.1, 1.0, 1.4])
+def test_classify_defaults_to_closed_forms(grid64, amplitude):
+    u = gaussian(grid64, amplitude=amplitude)
+    cls = classify(u)
+    assert cls == classify(u, BUBBLE_THRESHOLDS)
+    assert cls.energy_margin == GROUND_STATE_ENERGY_C - report(u).energy
+    assert cls.grad_margin == GROUND_STATE_KINETIC - report(u).kinetic
+
+
+def test_thresholds_are_the_report_of_the_ground_state():
+    """The quadrature check reads its norms from the one diagnostics pass."""
+    grid = RadialGrid(512.0, 2**14)
+    th, rep = thresholds(grid), report(ground_state(grid))
+    assert (th.grad_w_sq, th.w_l6, th.ec_w) == (rep.kinetic, rep.l6, rep.energy_c)
+    assert th.c3 == rep.kinetic**-2
+
+
+@pytest.mark.parametrize("amplitude, scale", [(1.0, 1.0), (1.3, 16.0), (0.7, 4.0), (1.8, 0.5)])
+def test_bubble_equals_the_formulas_it_replaces(grid64, amplitude, scale):
+    from cqnls.config import InitialData
+    from cqnls.experiments import build_initial
+    from cqnls.functionals import chi
+
+    r = grid64.nodes
+    old = amplitude * np.sqrt(scale) * (1.0 + (scale * r) ** 2 / 3.0) ** -0.5
+    assert np.array_equal(bubble(r, amplitude, scale), old)
+    spec = InitialData(family="bubble", amplitude=amplitude, scale=scale, cutoff=10.0)
+    assert np.array_equal(build_initial(grid64, spec).values, old * chi(r / 10.0))
+    assert np.array_equal(ground_state(grid64).values, (1.0 + r**2 / 3.0) ** -0.5)
