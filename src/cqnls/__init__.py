@@ -13,7 +13,6 @@ from .grid import (
     laplacian,
 )
 from .functionals import (
-    CutoffProfile,
     FunctionalReport,
     apply_cutoff,
     cutoff_identity_residual,

@@ -106,7 +106,7 @@ class RunOutcome:
 
 def nonlinear_phase_step(u: RadialField, dt: float) -> RadialField:
     """Exact flow of i u_t = (|u|^2 - |u|^4) u: a pointwise phase rotation."""
-    return RadialField(u.grid, _phase(u.values, dt), meta=u.meta)
+    return RadialField(u.grid, _phase(u.values, dt))
 
 
 def _phase(v: NDArray, dt: float) -> NDArray:
@@ -128,13 +128,12 @@ def _step(plan: SpectralPlan, half: NDArray, c: NDArray, dt: float,
     return c, plan.inverse(c) / r
 
 
-def strang_step(u: RadialField, dt: float, plan: SpectralPlan | None = None) -> RadialField:
+def strang_step(u: RadialField, dt: float) -> RadialField:
     """Symmetric split step: free dt/2, nonlinear dt, free dt/2."""
-    if plan is None:
-        plan = SpectralPlan.for_grid(u.grid)
+    plan = SpectralPlan.for_grid(u.grid)
     half = np.exp(-0.5j * plan.eigenvalues * dt)
     _, v = _step(plan, half, plan.forward(u.grid.nodes * u.values), dt)
-    return RadialField(u.grid, v, meta=u.meta)
+    return RadialField(u.grid, v)
 
 
 def _sponge_profile(grid, strength: float) -> NDArray:
@@ -179,7 +178,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     times = np.arange(n_steps + 1) * dt
 
     v = u0.values.astype(complex).copy()
-    snapshots = [RadialField(grid, v.copy(), meta=u0.meta)]
+    snapshots = [RadialField(grid, v.copy())]
     snap_times = [0.0]
     # one field re-pointed at each recorded state; the loop checks it finite
     state = RadialField(grid, v)
@@ -227,7 +226,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
                 break
             record(k, v)
             if k % cfg.snapshot_stride == 0:
-                snapshots.append(RadialField(grid, v.copy(), meta=u0.meta))
+                snapshots.append(RadialField(grid, v.copy()))
                 snap_times.append(k * dt)
             if series["kinetic"][k] >= cfg.blowup_gradient_factor * kin0 and kin0 > 0:
                 gradient_fired = True
@@ -242,7 +241,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     times = times[: last + 1]
     series = {k2: a[: last + 1] for k2, a in series.items()}
     if snap_times[-1] < times[-1] and np.all(np.isfinite(v.view(float))):
-        snapshots.append(RadialField(grid, v.copy(), meta=u0.meta))
+        snapshots.append(RadialField(grid, v.copy()))
         snap_times.append(times[-1])
 
     meta = {"l6_local_radius": cfg.evacuation_radius, "morawetz_radius": cfg.morawetz_radius,

@@ -50,7 +50,7 @@ def build_initial(grid: RadialGrid, spec: InitialData) -> RadialField:
         return RadialField(grid, cubic_resample(field, np.minimum(r, field.grid.r_max)))
     else:
         raise ConfigError(f"unknown family {spec.family!r}")
-    return RadialField(grid, vals.astype(complex), meta=spec.family)
+    return RadialField(grid, vals.astype(complex))
 
 
 def sample_below_threshold(grid: RadialGrid, rng: np.random.Generator, count: int,
@@ -152,17 +152,18 @@ def run_evolve(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 # the dichotomy blowup preset: a concentrated cutoff bubble needs a finer
-# grid than the sweep's gaussians; tuned so classify() lands in KMinus
+# grid than the sweep's gaussians.  Its amplitude is the one
+# find_kminus_amplitude returns on _BUBBLE_GRID, so classify() lands in KMinus;
+# it is 1.26 as np.arange yields it, one ulp above the literal 1.26.
 _BUBBLE_GRID = GridSpec(r_max=64.0, n=2**14 - 1)
 _BUBBLE_STEPPER = dict(dt=5e-5, t_end=2.0)
+_BUBBLE = InitialData(family="bubble", amplitude=1.2600000000000002)
 
 
-def find_kminus_amplitude(grid: RadialGrid, th: Thresholds = BUBBLE_THRESHOLDS,
-                          scale: float = 16.0, cutoff: float = 10.0) -> float:
-    """Smallest bubble amplitude (0.01 steps) with k < 0 and energy below ec_w."""
+def find_kminus_amplitude(grid: RadialGrid, th: Thresholds = BUBBLE_THRESHOLDS) -> float:
+    """Smallest _BUBBLE amplitude (0.01 steps) with k < 0 and energy below ec_w."""
     for a in np.arange(1.05, 2.0, 0.01):
-        u = build_initial(grid, InitialData(family="bubble", amplitude=float(a),
-                                            scale=scale, cutoff=cutoff))
+        u = build_initial(grid, replace(_BUBBLE, amplitude=float(a)))
         cls = classify(u, th)
         if cls.tag == K_MINUS:
             return float(a)
@@ -214,9 +215,7 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path) -> dict:
     points = [(cfg.grid, stepper, InitialData(family="gaussian", amplitude=float(a), width=width))
               for a in amps]
     if sw.include_bubble:
-        a_minus = find_kminus_amplitude(RadialGrid(_BUBBLE_GRID.r_max, _BUBBLE_GRID.n))
-        points.append((_BUBBLE_GRID, replace(stepper, sponge=False, **_BUBBLE_STEPPER),
-                       InitialData(family="bubble", amplitude=a_minus)))
+        points.append((_BUBBLE_GRID, replace(stepper, sponge=False, **_BUBBLE_STEPPER), _BUBBLE))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_sweep_point, points))
@@ -242,9 +241,11 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path) -> dict:
 def run_morawetz(cfg: ExperimentConfig, out: Path) -> dict:
     """Identity check plus the T-scaling of the averaged local sextic mass.
 
-    The dM/dt identity holds for the conservative flow only, so the residual
-    is measured on a short sponge-off companion run; the T-scaling rows keep
-    the configured sponge (long runs must shed radiation).
+    The dM/dt identity, with its nonlinear terms, holds for the conservative
+    nonlinear flow only, so the residual is measured on a short sponge-off,
+    nonlinear companion run; the T-scaling rows keep the configured sponge
+    (long runs must shed radiation).  Every other stepper field comes from
+    cfg.stepper.
     """
     grid = RadialGrid(cfg.grid.r_max, cfg.grid.n)
     u0 = build_initial(grid, cfg.initial)
@@ -252,24 +253,16 @@ def run_morawetz(cfg: ExperimentConfig, out: Path) -> dict:
     w = weight_build(R_w)
 
     T_full = cfg.stepper.t_end
-    ident_cfg = StepperConfig(
-        dt=cfg.stepper.dt, t_end=min(2.0, T_full), snapshot_stride=10**9,
-        sponge=False, morawetz_radius=R_w,
-        evacuation_radius=cfg.stepper.evacuation_radius,
-        evacuation_epsilon=cfg.stepper.evacuation_epsilon,
-    )
+    ident_cfg = replace(cfg.stepper, t_end=min(2.0, T_full), snapshot_stride=10**9,
+                        sponge=False, linear=False, morawetz_radius=R_w)
     ident_traj, _ = evolve(u0, ident_cfg)
     residual = identity_residual(ident_traj, w)
     series_from_trajectory(ident_traj).to_csv(out / "morawetz_series.csv")
 
     rows = []
     for T in (T_full / 4, T_full / 2, T_full):
-        st = StepperConfig(
-            dt=cfg.stepper.dt, t_end=T, snapshot_stride=10**9,
-            sponge=cfg.stepper.sponge, sponge_strength=cfg.stepper.sponge_strength,
-            evacuation_radius=T ** (1.0 / 3.0),
-            evacuation_epsilon=cfg.stepper.evacuation_epsilon,
-        )
+        st = replace(cfg.stepper, t_end=T, snapshot_stride=10**9,
+                     evacuation_radius=T ** (1.0 / 3.0), morawetz_radius=None, flux_radius=None)
         traj, _ = evolve(u0, st)
         rows.append({"T": T, "R": T ** (1.0 / 3.0),
                      "average": averaged_local_l6(traj, T ** (1.0 / 3.0))})
@@ -291,15 +284,14 @@ def free_decay_study(cfg: ExperimentConfig, out: Path | None = None) -> dict:
         if out is not None:
             storage.write_json(out / "free_decay.json", summary)
         return summary
-    plan = SpectralPlan.for_grid(grid)
     fit_times = np.linspace(2.0, 20.0, 37)
-    sups = np.array([np.max(np.abs(free_propagate(u0, t, plan).values)) for t in fit_times])
+    sups = np.array([np.max(np.abs(free_propagate(u0, t).values)) for t in fit_times])
     exponent = -float(np.polyfit(np.log(fit_times), np.log(sups), 1)[0])
 
     dt_snap = 0.25
     windows = (10.0, 20.0, 40.0, 80.0)
     t_grid = np.arange(0.0, windows[-1] + dt_snap / 2, dt_snap)
-    snaps = [free_propagate(u0, t, plan) for t in t_grid]
+    snaps = [free_propagate(u0, t) for t in t_grid]
     norms = {}
     for T in windows:
         sel = t_grid <= T + 1e-12
@@ -341,12 +333,12 @@ def _selftest_checks(seed: int):
     yield "gaussian_quadrature", abs(mass - (np.pi / 2) ** 1.5) < 1e-6, f"{mass:.8f}"
 
     eig = RadialField(grid, np.sin(np.pi * r / grid.r_max) / r)
-    lap = laplacian(eig, plan)
+    lap = laplacian(eig)
     res = np.max(np.abs(lap.values + (np.pi / grid.r_max) ** 2 * eig.values))
     yield "laplacian_eigenfunction", res <= 1e-10, f"{res:.2e}"
 
-    v1 = free_propagate(free_propagate(u, 0.7, plan), 0.3, plan)
-    v2 = free_propagate(u, 1.0, plan)
+    v1 = free_propagate(free_propagate(u, 0.7), 0.3)
+    v2 = free_propagate(u, 1.0)
     comp = np.max(np.abs(v1.values - v2.values))
     yield "propagator_composition", comp <= 1e-11, f"{comp:.2e}"
 
@@ -363,13 +355,13 @@ def _selftest_checks(seed: int):
     except Exception as exc:  # pragma: no cover
         yield "weight_build", False, str(exc)
 
-    s1 = strang_step(u, 1e-3, plan)
+    s1 = strang_step(u, 1e-3)
     m0 = integrate_ball(grid, np.abs(u.values) ** 2)
     m1 = integrate_ball(grid, np.abs(s1.values) ** 2)
     yield "step_mass", abs(m1 - m0) / m0 <= 1e-12, f"{abs(m1 - m0) / m0:.2e}"
 
     back = RadialField(grid, np.conj(strang_step(
-        RadialField(grid, np.conj(s1.values)), 1e-3, plan).values))
+        RadialField(grid, np.conj(s1.values)), 1e-3).values))
     rev = np.max(np.abs(back.values - u.values))
     yield "time_reversal", rev <= 1e-10, f"{rev:.2e}"
 

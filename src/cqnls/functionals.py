@@ -96,20 +96,6 @@ def local_l6(u: RadialField, R: float, du: FieldDerivative | None = None) -> flo
 # ---------------------------------------------------------------------------
 # cutoffs
 
-@dataclass
-class CutoffProfile:
-    """Radial cutoff: quintic-smoothstep chi or a sharp ball indicator."""
-
-    kind: str = "smooth-chi"
-    radius: float = 10.0
-
-    def __post_init__(self):
-        if self.kind not in ("smooth-chi", "ball-indicator"):
-            raise ContractError(f"unknown cutoff kind {self.kind!r}")
-        if self.radius <= 0:
-            raise ContractError("cutoff radius must be positive")
-
-
 def chi(s: NDArray) -> NDArray:
     """C^2 plateau cutoff: 1 on [0, 1/2], quintic-smoothstep decay to 0 at 1."""
     s = np.asarray(s, dtype=float)
@@ -136,15 +122,11 @@ def chi_profile(grid: RadialGrid, R: float) -> tuple[NDArray, NDArray, NDArray]:
     return chi(s), chi_r, d2 / R**2 + 2.0 * chi_r / grid.nodes
 
 
-def cutoff_values(grid: RadialGrid, c: CutoffProfile) -> NDArray:
-    if c.kind == "ball-indicator":
-        return (grid.nodes <= c.radius).astype(float)
-    return chi(grid.nodes / c.radius)
-
-
-def apply_cutoff(u: RadialField, c: CutoffProfile) -> RadialField:
-    """Pointwise product chi_R * u (or indicator * u)."""
-    return RadialField(u.grid, cutoff_values(u.grid, c) * u.values, meta=u.meta)
+def apply_cutoff(u: RadialField, R: float) -> RadialField:
+    """Pointwise product chi(r/R) * u."""
+    if not R > 0:
+        raise ContractError("cutoff radius must be positive")
+    return RadialField(u.grid, chi(u.grid.nodes / R) * u.values)
 
 
 def cutoff_identity_residual(u: RadialField, R: float) -> float:

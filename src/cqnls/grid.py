@@ -64,7 +64,6 @@ class RadialField:
 
     grid: RadialGrid
     values: NDArray[np.complex128]
-    meta: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -75,8 +74,8 @@ class RadialField:
         if not np.all(np.isfinite(self.values.view(float))):
             raise ContractError("field contains non-finite entries")
 
-    def copy(self, meta: str | None = None) -> "RadialField":
-        return RadialField(self.grid, self.values.copy(), meta if meta is not None else self.meta)
+    def copy(self) -> "RadialField":
+        return RadialField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -212,24 +211,22 @@ def _boundary_lift(grid: RadialGrid, w: NDArray) -> NDArray:
     return w - c * (grid.nodes / grid.r_max)
 
 
-def laplacian(u: RadialField, plan: SpectralPlan | None = None) -> RadialField:
+def laplacian(u: RadialField) -> RadialField:
     """3D radial Laplacian, computed as (1/r) * (sine-spectral (r*u)'')."""
     grid = u.grid
-    if plan is None:
-        plan = SpectralPlan.for_grid(grid)
+    plan = SpectralPlan.for_grid(grid)
     w = _boundary_lift(grid, grid.nodes * u.values)
     d2 = plan.inverse(-plan.eigenvalues * plan.forward(w))
-    return RadialField(grid, d2 / grid.nodes, meta=u.meta)
+    return RadialField(grid, d2 / grid.nodes)
 
 
-def free_propagate(u: RadialField, t: float, plan: SpectralPlan | None = None) -> RadialField:
+def free_propagate(u: RadialField, t: float) -> RadialField:
     """Exact free Schrodinger flow: multiply sine coefficients by e^{-i*lam_k*t}."""
     grid = u.grid
-    if plan is None:
-        plan = SpectralPlan.for_grid(grid)
+    plan = SpectralPlan.for_grid(grid)
     c = plan.forward(grid.nodes * u.values)
     w = plan.inverse(np.exp(-1j * plan.eigenvalues * t) * c)
-    return RadialField(grid, w / grid.nodes, meta=u.meta)
+    return RadialField(grid, w / grid.nodes)
 
 
 def _cubic_taps(grid: RadialGrid, radii: NDArray):

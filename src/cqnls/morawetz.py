@@ -43,7 +43,6 @@ from .grid import (
     integrate_ball,
     radial_derivative_on,
 )
-from .functionals import local_l6
 
 # dimensionless transition patch q(s) and its derivatives (exact integers)
 _Q = np.array([1.0, 2.0, 1.0, 0.0, 80.0, -193.0, 161.0, -46.0])
@@ -328,12 +327,14 @@ def centred_residual(times: NDArray, values: NDArray, rate: NDArray) -> float:
 
 
 def averaged_local_l6(traj, R: float) -> float:
-    """Time average (1/T) int_0^T of the local sextic mass inside radius R."""
-    if traj.series_meta.get("l6_local_radius") == R and "l6_local" in traj.series:
-        times, vals = traj.times, traj.series["l6_local"]
-    else:
-        times = np.asarray(traj.snapshot_times, dtype=float)
-        vals = np.array([local_l6(s, R) for s in traj.snapshots])
+    """Time average (1/T) int_0^T of the local sextic mass inside radius R.
+
+    Uses the per-step l6_local series recorded by evolve (evacuation_radius
+    must match R).
+    """
+    if traj.series_meta.get("l6_local_radius") != R:
+        raise ContractError("trajectory was recorded with a different local L^6 radius")
+    times, vals = traj.times, traj.series["l6_local"]
     T = times[-1] - times[0]
     if T <= 0:
         return float(vals[0])

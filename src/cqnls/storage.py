@@ -32,7 +32,7 @@ def read_snapshot(path) -> tuple[RadialField, dict]:
     if data.shape[0] != grid.n:
         raise ContractError(f"snapshot {path} does not match its sidecar grid")
     values = data[:, 1] + 1j * data[:, 2]
-    return RadialField(grid, values, meta=sidecar.get("label") or None), sidecar
+    return RadialField(grid, values), sidecar
 
 
 def write_json(path, obj: dict) -> None:

@@ -27,7 +27,6 @@ from .functionals import (
     GROUND_STATE_KINETIC,
     GROUND_STATE_L6,
     SHARP_SOBOLEV_C3,
-    CutoffProfile,
     FunctionalReport,
     apply_cutoff,
     chi_profile,
@@ -47,7 +46,7 @@ def bubble(r: NDArray, amplitude: float = 1.0, scale: float = 1.0) -> NDArray:
 
 def ground_state(grid: RadialGrid) -> RadialField:
     """The bubble W evaluated exactly on the grid nodes."""
-    return RadialField(grid, bubble(grid.nodes), meta="W")
+    return RadialField(grid, bubble(grid.nodes))
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def _support_radius(u: RadialField) -> float:
     return float(u.grid.nodes[idx[-1]])
 
 
-def _rescale(u: RadialField, amplitude: float, stretch: float, meta: str) -> RadialField:
+def _rescale(u: RadialField, amplitude: float, stretch: float) -> RadialField:
     """amplitude * u(stretch * r), resampled cubically onto the same grid."""
     supp = _support_radius(u)
     if supp > 0 and supp / stretch < 4 * u.grid.dr:
@@ -135,7 +134,7 @@ def _rescale(u: RadialField, amplitude: float, stretch: float, meta: str) -> Rad
             f"(dr = {u.grid.dr:.3g})"
         )
     vals = amplitude * cubic_resample(u, stretch * u.grid.nodes)
-    return RadialField(u.grid, vals, meta=meta)
+    return RadialField(u.grid, vals)
 
 
 def scale_phi(u: RadialField, lam: float) -> RadialField:
@@ -146,7 +145,7 @@ def scale_phi(u: RadialField, lam: float) -> RadialField:
     """
     if lam == 0:
         return u.copy()
-    return _rescale(u, math.exp(3 * lam), math.exp(2 * lam), meta="scale_phi")
+    return _rescale(u, math.exp(3 * lam), math.exp(2 * lam))
 
 
 def scale_f12(u: RadialField, lam: float) -> RadialField:
@@ -159,7 +158,7 @@ def scale_f12(u: RadialField, lam: float) -> RadialField:
     """
     if lam == 0:
         return u.copy()
-    return _rescale(u, math.exp(1.5 * lam), math.exp(3 * lam), meta="scale_f12")
+    return _rescale(u, math.exp(1.5 * lam), math.exp(3 * lam))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,7 @@ def coercive_on_ball(
     """
     if delta is None:
         delta = 0.5 * (1.0 - report(u).kinetic / th.grad_w_sq)
-    loc = apply_cutoff(u, CutoffProfile("smooth-chi", R))
+    loc = apply_cutoff(u, R)
     rep = report(loc)
     return BallCoercivity(passes=rep.kinetic <= (1.0 - delta) * th.grad_w_sq,
                           gap=rep.kinetic - rep.l6)

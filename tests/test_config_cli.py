@@ -242,6 +242,68 @@ def test_morawetz_experiment(tmp_path):
     assert len(series) == 1001 + 1  # per-step rows plus header
 
 
+def test_morawetz_runs_derive_from_the_stepper_section(tmp_path, monkeypatch):
+    """Each run that run_morawetz steps differs from cfg.stepper only in the fields it
+    sets itself, so a configured blowup factor or sponge strength reaches every run.
+    The identity run alone steps the nonlinear flow whatever `linear` says."""
+    import dataclasses
+
+    from cqnls import experiments
+    from cqnls.config import GridSpec
+    from cqnls.dynamics import StepperConfig
+
+    stepper = StepperConfig(dt=4e-3, t_end=0.08, sponge=True, sponge_strength=7.0,
+                            blowup_gradient_factor=50.0, linear=True, evacuation_radius=3.0,
+                            evacuation_epsilon=0.2, morawetz_radius=4.0, flux_radius=3.0)
+    cfg = ExperimentConfig(experiment="morawetz", grid=GridSpec(r_max=64.0, n=1023),
+                           stepper=stepper)
+    seen = []
+    real_evolve = experiments.evolve
+
+    def recording_evolve(u0, st):
+        seen.append(st)
+        return real_evolve(u0, st)
+
+    monkeypatch.setattr(experiments, "evolve", recording_evolve)
+    experiments.run_morawetz(cfg, tmp_path)
+    overridden = {"t_end", "snapshot_stride", "sponge", "linear", "evacuation_radius",
+                  "morawetz_radius", "flux_radius"}
+    assert [st.t_end for st in seen] == [0.08, 0.02, 0.04, 0.08]
+    assert [st.linear for st in seen] == [False, True, True, True]
+    for st in seen:
+        for f in dataclasses.fields(StepperConfig):
+            if f.name not in overridden:
+                assert getattr(st, f.name) == getattr(stepper, f.name), f.name
+
+
+def test_sweep_bubble_row_needs_no_amplitude_scan(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from cqnls import experiments
+    from cqnls.config import GridSpec, InitialData, SweepSpec
+    from cqnls.dynamics import StepperConfig
+    from cqnls.grid import RadialGrid
+
+    stepper = StepperConfig(dt=4e-3, t_end=0.4, sponge=True)
+    bubble_grid = experiments._BUBBLE_GRID
+    scanned = experiments.find_kminus_amplitude(RadialGrid(bubble_grid.r_max, bubble_grid.n))
+    expected = experiments._sweep_point(
+        (bubble_grid, replace(stepper, sponge=False, **experiments._BUBBLE_STEPPER),
+         InitialData(family="bubble", amplitude=scanned)))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the sweep scanned for the K- amplitude")
+
+    monkeypatch.setattr(experiments, "find_kminus_amplitude", no_scan)
+    cfg = ExperimentConfig(experiment="dichotomy-sweep", grid=GridSpec(r_max=64.0, n=1023),
+                           stepper=stepper,
+                           sweep=SweepSpec(amplitude_start=0.2, amplitude_stop=0.2,
+                                           amplitude_step=0.1, include_bubble=True))
+    experiments.run_dichotomy(cfg, tmp_path)
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[-1] == ",".join(str(expected[c]) for c in experiments.SweepResult.CSV_COLUMNS)
+
+
 def test_sweep_workers_deterministic(tmp_path):
     from cqnls.config import SweepSpec
     from cqnls.dynamics import StepperConfig

@@ -9,7 +9,6 @@ from cqnls.errors import ContractError
 from cqnls.functionals import (
     GROUND_STATE_KINETIC,
     SHARP_SOBOLEV_C3,
-    CutoffProfile,
     apply_cutoff,
     chi,
     chi_derivatives,
@@ -133,7 +132,7 @@ def test_local_l6_monotone(grid64):
 
 def test_cutoff_plateau_and_support(grid64):
     ones = RadialField(grid64, np.ones(grid64.n))
-    cut = apply_cutoff(ones, CutoffProfile("smooth-chi", 4.0))
+    cut = apply_cutoff(ones, 4.0)
     at = lambda r: cut.values[np.argmin(np.abs(grid64.nodes - r))]
     assert at(1.9) == 1.0
     assert at(4.1) == 0.0
@@ -142,7 +141,7 @@ def test_cutoff_plateau_and_support(grid64):
 
 def test_cutoff_identity_wide_radius(grid64):
     u = gaussian(grid64)
-    cut = apply_cutoff(u, CutoffProfile("smooth-chi", 2 * grid64.r_max))
+    cut = apply_cutoff(u, 2 * grid64.r_max)
     assert np.array_equal(cut.values, u.values)
 
 
@@ -150,23 +149,17 @@ def test_cutoff_mass_contracts(grid64):
     rng = np.random.default_rng(6)
     for _ in range(10):
         u = random_smooth_field(grid64, rng)
-        cut = apply_cutoff(u, CutoffProfile("smooth-chi", rng.uniform(2, 30)))
+        cut = apply_cutoff(u, rng.uniform(2, 30))
         assert integrate_ball(grid64, np.abs(cut.values) ** 2) <= integrate_ball(
             grid64, np.abs(u.values) ** 2
         ) * (1 + 1e-14)
 
 
-def test_ball_indicator(grid64):
+def test_cutoff_refuses_nonpositive_radius(grid64):
     u = gaussian(grid64)
-    cut = apply_cutoff(u, CutoffProfile("ball-indicator", 3.0))
-    assert np.all(cut.values[grid64.nodes > 3.0] == 0)
-    inside = grid64.nodes <= 3.0
-    assert np.array_equal(cut.values[inside], u.values[inside])
-
-
-def test_bad_cutoff_kind():
-    with pytest.raises(ContractError):
-        CutoffProfile("box", 1.0)
+    for R in (0.0, -1.0, float("nan")):
+        with pytest.raises(ContractError):
+            apply_cutoff(u, R)
 
 
 def test_cutoff_identity_residual(grid64):

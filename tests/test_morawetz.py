@@ -213,19 +213,21 @@ def test_identity_requires_matching_weight(w8):
     assert len(series.m_values) == len(traj.times)
 
 
+def _l6_series_trajectory(u, times, R):
+    """A trajectory holding u at every time, with its l6_local series recorded at R."""
+    return Trajectory(times=times, series={"l6_local": np.full(len(times), local_l6(u, R))},
+                      series_meta={"l6_local_radius": R}, snapshots=[u], snapshot_times=times[:1])
+
+
 def test_averaged_local_l6_time_constant(grid64):
     u = gaussian(grid64)
-    times = np.linspace(0.0, 3.0, 7)
-    traj = Trajectory(times=times, series={}, series_meta={},
-                      snapshots=[u] * 7, snapshot_times=times)
+    traj = _l6_series_trajectory(u, np.linspace(0.0, 3.0, 7), 5.0)
     assert averaged_local_l6(traj, 5.0) == pytest.approx(local_l6(u, 5.0), rel=1e-12)
 
 
 def test_averaged_local_l6_zero(grid64):
     z = RadialField(grid64, np.zeros(grid64.n))
-    times = np.linspace(0.0, 1.0, 5)
-    traj = Trajectory(times=times, series={}, series_meta={},
-                      snapshots=[z] * 5, snapshot_times=times)
+    traj = _l6_series_trajectory(z, np.linspace(0.0, 1.0, 5), 5.0)
     assert averaged_local_l6(traj, 5.0) == 0.0
 
 
@@ -276,10 +278,23 @@ def test_averaged_local_l6_from_series(grid64):
     cfg = StepperConfig(dt=1e-3, t_end=0.5, snapshot_stride=10**9,
                         evacuation_radius=6.0)
     traj, _ = evolve(u0, cfg)
-    from_series = averaged_local_l6(traj, 6.0)
-    from_snaps = averaged_local_l6(traj, 5.0)  # falls back to snapshots
-    assert from_series > 0
-    assert from_snaps > 0
+    series = traj.series["l6_local"]
+    assert series[0] == local_l6(u0, 6.0) > 0
+    T = traj.times[-1] - traj.times[0]
+    assert averaged_local_l6(traj, 6.0) == np.trapezoid(series, traj.times) / T
+
+
+def test_averaged_local_l6_refuses_other_radius(grid64):
+    u0 = gaussian(grid64, amplitude=0.4)
+    cfg = StepperConfig(dt=1e-3, t_end=0.01, snapshot_stride=10**9, evacuation_radius=6.0)
+    traj, _ = evolve(u0, cfg)
+    for R in (5.0, 5.999, 10.0):
+        with pytest.raises(ContractError):
+            averaged_local_l6(traj, R)
+    snapshots_only = Trajectory(times=traj.times, series={}, series_meta={},
+                                snapshots=traj.snapshots, snapshot_times=traj.snapshot_times)
+    with pytest.raises(ContractError):
+        averaged_local_l6(snapshots_only, 6.0)
 
 
 def _rate_by_masks(u, w):

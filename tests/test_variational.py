@@ -112,6 +112,12 @@ def test_classify_bubble_kminus(th1024):
     assert cls.kbar_agrees  # kinetic exceeds the bubble's
 
 
+def test_kminus_preset_is_the_scanned_amplitude():
+    from cqnls.experiments import _BUBBLE, find_kminus_amplitude
+
+    assert find_kminus_amplitude(RadialGrid(64.0, 2**14 - 1)) == _BUBBLE.amplitude
+
+
 def test_classification_equivalence_sampled(grid128, th1024):
     """sign(k) >= 0 iff kinetic <= ||grad W||^2, below the threshold."""
     from cqnls.experiments import sample_below_threshold
