@@ -1,16 +1,26 @@
 """Strang-split spectral time evolution of i u_t + Lap u = |u|^2 u - |u|^4 u.
 
-One step of size dt is free half-step, full nonlinear phase, free half-step.
+One step of size dt is nonlinear half-step, free step, nonlinear half-step.
 Both substeps are unitary, so mass is conserved to roundoff; the splitting
 is symmetric, so the scheme is second order and time-reversible under
-conjugation.
+conjugation.  A step starts and ends in physical space, where every
+diagnostic is taken.
+
+The exact nonlinear flow keeps |u| fixed, so one phase factor per step,
+q = exp(-i (dt/2)(|y|^2 - |y|^4)) taken from the state y after the free
+flow, serves twice: y*q is the recorded state that closes the step, and
+y*q*q starts the free flow of the next one.  A step thus takes one exp, one
+forward and one inverse sine transform (the free flow alone on linear runs).
+The sponge, when on, damps y before q is taken, so q is exact for the
+damped modulus too.
 
 Outcome detection is deliberately resolution-aware:
 
   * blowup: kinetic norm exceeding ``blowup_gradient_factor`` times its
     initial value, co-triggered with more than 10% of the spectral kinetic
     density sitting in the top third of the sine modes (a collapsing core
-    necessarily drives both);
+    necessarily drives both).  The spectrum read is that of r*y, after the
+    free flow and before the sponge and the closing half-phase;
   * scattering proxy: the local sextic mass inside the evacuation radius
     dropping below epsilon^6 somewhere in the final fifth of the run.
 
@@ -106,33 +116,39 @@ class RunOutcome:
 
 def nonlinear_phase_step(u: RadialField, dt: float) -> RadialField:
     """Exact flow of i u_t = (|u|^2 - |u|^4) u: a pointwise phase rotation."""
-    return RadialField(u.grid, _phase(u.values, dt))
+    return RadialField(u.grid, u.values * _phase_factor(u.values, dt))
 
 
-def _phase(v: NDArray, dt: float) -> NDArray:
+def _phase_factor(v: NDArray, t: float) -> NDArray:
+    """exp(-i t (|v|^2 - |v|^4)): the nonlinear flow over time t, as a multiplier of v."""
     a2 = np.abs(v) ** 2
-    return v * np.exp(-1j * dt * (a2 - a2 * a2))
+    return np.exp(-1j * t * (a2 - a2 * a2))
 
 
-def _step(plan: SpectralPlan, half: NDArray, c: NDArray, dt: float,
-          nonlinear: bool = True) -> tuple[NDArray, NDArray]:
-    """Strang step from the sine coefficients c of r*u: free dt/2, phase dt, free dt/2.
+def _step(plan: SpectralPlan, free: NDArray, v: NDArray, q: NDArray | None, dt: float,
+          damp: NDArray | None = None) -> tuple[NDArray, NDArray, NDArray | None]:
+    """Strang step of v: half-phase q, free flow dt, damping, closing half-phase.
 
-    Returns the stepped coefficients, from which the next step can start, and u.
+    q is the half-step factor of |v| (None steps the free flow only).  Returns
+    the sine coefficients of r*y after the free flow, the stepped state and its
+    half-step factor, which opens the next step.
     """
     r = plan.grid.nodes
-    v = plan.inverse(half * c) / r
-    if nonlinear:
-        v = _phase(v, dt)
-    c = half * plan.forward(r * v)
-    return c, plan.inverse(c) / r
+    coef = free * plan.forward(r * (v if q is None else v * q))
+    y = plan.inverse(coef) / r
+    if damp is not None:
+        y = y * damp
+    if q is None:
+        return coef, y, None
+    q = _phase_factor(y, 0.5 * dt)
+    return coef, y * q, q
 
 
 def strang_step(u: RadialField, dt: float) -> RadialField:
-    """Symmetric split step: free dt/2, nonlinear dt, free dt/2."""
+    """Symmetric split step: nonlinear dt/2, free dt, nonlinear dt/2."""
     plan = SpectralPlan.for_grid(u.grid)
-    half = np.exp(-0.5j * plan.eigenvalues * dt)
-    _, v = _step(plan, half, plan.forward(u.grid.nodes * u.values), dt)
+    free = np.exp(-1j * plan.eigenvalues * dt)
+    _, v, _ = _step(plan, free, u.values, _phase_factor(u.values, 0.5 * dt), dt)
     return RadialField(u.grid, v)
 
 
@@ -157,12 +173,14 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         radius = getattr(cfg, name)
         if radius is not None and radius > grid.r_max:
             raise ContractError(f"{name} {radius} exceeds the domain radius {grid.r_max}")
+    if cfg.linear and cfg.morawetz_radius is not None:
+        raise ContractError("morawetz_radius records the nonlinear flow's rate, "
+                            "but linear = true steps the free flow")
     plan = SpectralPlan.for_grid(grid)
-    r = grid.nodes
     qw = grid.weights
     dt = cfg.dt
     n_steps = round(cfg.t_end / dt)
-    half = np.exp(-0.5j * plan.eigenvalues * dt)
+    free = np.exp(-1j * plan.eigenvalues * dt)
     sponge_mult = np.exp(-dt * _sponge_profile(grid, cfg.sponge_strength)) if cfg.sponge else None
     tail_mask = np.arange(1, grid.n + 1) > (2 * grid.n) // 3
 
@@ -213,14 +231,10 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     last = n_steps  # the last step recorded
     gradient_fired = False
     trigger: dict = {}  # detector quantities at the last gradient trigger
-    coef = None  # sine coefficients of r*v, carried from one step to the next
     if not zero_data:
+        q = None if cfg.linear else _phase_factor(v, 0.5 * dt)
         for k in range(1, n_steps + 1):
-            if coef is None or sponge_mult is not None:  # the sponge acts on v, not coef
-                coef = plan.forward(r * v)
-            coef, v = _step(plan, half, coef, dt, not cfg.linear)
-            if sponge_mult is not None:
-                v = v * sponge_mult
+            coef, v, q = _step(plan, free, v, q, dt, sponge_mult)
             if not np.all(np.isfinite(v.view(float))):
                 last = k - 1
                 break
@@ -255,6 +269,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         "max_kinetic_ratio": float(np.max(series["kinetic"]) / kin0) if kin0 > 0 else 0.0,
         "completed": blew_at is None and last == n_steps,
         "gradient_fired": gradient_fired,
+        "dt_lambda_max": float(dt * plan.eigenvalues[-1]),  # top sine mode's phase per step
         **trigger,
     }
     if blew_at is not None:

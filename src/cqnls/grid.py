@@ -119,8 +119,8 @@ def _sine_transform(transform, x: NDArray) -> NDArray:
     The complex result is a view of the float output.  numpy never reuses a
     view in place as a temporary, so from 256 KiB (16384 nodes) on, where it
     would have reused the plain call's output, a product such as
-    ``half * forward(w)`` keeps its operand order and may differ in the
-    last bit from before.
+    ``free * forward(w)`` keeps its operand order and may differ in the
+    last bit from the same product on the plain call.
     """
     x = np.asarray(x)
     if x.dtype != np.complex128:
@@ -186,7 +186,7 @@ class FieldDerivative:
 
     @cached_property
     def a6(self) -> NDArray:
-        return self.a2**3
+        return self.a2 * self.a2 * self.a2
 
     @cached_property
     def du2(self) -> NDArray:

@@ -172,6 +172,22 @@ def test_cli_failures_write_manifest(tmp_path):
     assert "error.txt" not in manifest["artifacts"]
 
 
+def test_linear_evolve_with_morawetz_radius_is_a_config_error(tmp_path):
+    """A free-flow run would record a Morawetz rate with nonlinear terms it never steps:
+    exit 1 with the reason in error.txt, and no morawetz_series.csv."""
+    cfgfile = tmp_path / "ev.json"
+    cfgfile.write_text(json.dumps({
+        "experiment": "evolve",
+        "grid": {"r_max": 16.0, "n": 255},
+        "initial": {"family": "gaussian", "amplitude": 0.3},
+        "stepper": {"dt": 1e-3, "t_end": 2e-3, "linear": True, "morawetz_radius": 4.0},
+    }))
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert "ContractError: morawetz_radius" in (out / "evolve" / "error.txt").read_text()
+    assert not (out / "evolve" / "morawetz_series.csv").exists()
+
+
 def test_free_decay_zero_data(tmp_path):
     cfgfile = tmp_path / "fd.json"
     cfgfile.write_text(json.dumps({

@@ -199,18 +199,18 @@ def test_nonfinite_state_aborts_undecided(grid64, monkeypatch):
     """A NaN appearing mid-run aborts; without a gradient trigger the tag is Undecided."""
     import cqnls.dynamics as dyn
 
-    real_phase = dyn._phase
+    real_factor = dyn._phase_factor
     count = {"n": 0}
 
-    def poisoned(v, dt):
+    def poisoned(v, t):
         count["n"] += 1
-        out = real_phase(v, dt)
-        if count["n"] == 5:
+        out = real_factor(v, t)
+        if count["n"] == 6:  # call 1 opens step 1, call k + 1 closes step k
             out = out.copy()
             out[0] = np.nan
         return out
 
-    monkeypatch.setattr(dyn, "_phase", poisoned)
+    monkeypatch.setattr(dyn, "_phase_factor", poisoned)
     u0 = gaussian(grid64, amplitude=0.3)
     cfg = StepperConfig(dt=1e-3, t_end=0.02, snapshot_stride=10**9)
     traj, outcome = evolve(u0, cfg)
@@ -311,19 +311,22 @@ def test_stepper_config_accepts_whole_step_counts(dt, steps):
     assert round(StepperConfig(dt=dt, t_end=dt * steps).t_end / dt) == steps
 
 
-def _phase_ref(v, dt):
+def _phase_factor_ref(v, t):
     a2 = np.abs(v) ** 2
-    return v * np.exp(-1j * dt * (a2 - a2 * a2))
+    return np.exp(-1j * t * (a2 - a2 * a2))
 
 
-def _old_step(v, r, half, dt):
+def _ref_step(v, q, r, free, dt, damp=None):
     """Reference Strang step written out on scipy's DST-I, each complex transform
-    being scipy's two real ones: transform, half-step, invert, phase, and again."""
+    being scipy's two real ones: half-phase q, free flow, damping, and the closing
+    half-phase, whose factor is returned to open the next step."""
     from scipy.fft import dst, idst
 
-    v = idst(half * dst(r * v, type=1), type=1) / r
-    v = _phase_ref(v, dt)
-    return idst(half * dst(r * v, type=1), type=1) / r
+    y = idst(free * dst(r * (v * q), type=1), type=1) / r
+    if damp is not None:
+        y = y * damp
+    q = _phase_factor_ref(y, 0.5 * dt)
+    return y * q, q
 
 
 def _chirped(grid, amplitude=1.0, chirp=0.2):
@@ -336,34 +339,38 @@ def test_strang_step_matches_old_formula_bitwise(dt):
     # below 16384 nodes, where numpy reuses no temporary in place (see grid._sine_transform)
     grid = RadialGrid(32.0, 255)
     u = _chirped(grid, 1.3)
-    half = np.exp(-0.5j * SpectralPlan.for_grid(grid).eigenvalues * dt)
-    expected = _old_step(u.values, grid.nodes, half, dt)
+    free = np.exp(-1j * SpectralPlan.for_grid(grid).eigenvalues * dt)
+    expected, _ = _ref_step(u.values, _phase_factor_ref(u.values, 0.5 * dt), grid.nodes,
+                            free, dt)
     assert strang_step(u, dt).values.tobytes() == expected.tobytes()
 
 
 def test_sponge_evolve_matches_old_formula_bitwise():
-    """The sponge acts in physical space, so every step transforms r*v afresh, as before."""
+    """The sponge damps the state after the free flow and before the closing half-phase,
+    whose factor, carried into the next step, is then exact for the damped modulus."""
     import cqnls.dynamics as dyn
 
     grid = RadialGrid(32.0, 255)
     cfg = StepperConfig(dt=2e-3, t_end=0.1, snapshot_stride=1, sponge=True, sponge_strength=50.0)
     traj, _ = evolve(_chirped(grid, 1.3), cfg)
-    half = np.exp(-0.5j * SpectralPlan.for_grid(grid).eigenvalues * cfg.dt)
+    free = np.exp(-1j * SpectralPlan.for_grid(grid).eigenvalues * cfg.dt)
     sponge = np.exp(-cfg.dt * dyn._sponge_profile(grid, cfg.sponge_strength))
     v = _chirped(grid, 1.3).values
+    q = _phase_factor_ref(v, 0.5 * cfg.dt)
+    ball = grid.nodes <= cfg.evacuation_radius
     assert len(traj.snapshots) == 51
     for k, snap in enumerate(traj.snapshots):
         if k:
-            v = _old_step(v, grid.nodes, half, cfg.dt) * sponge
+            v, q = _ref_step(v, q, grid.nodes, free, cfg.dt, sponge)
         assert snap.values.tobytes() == v.tobytes()
         assert traj.series["mass"][k] == np.sum(grid.weights * np.abs(v) ** 2)
-        assert traj.series["l6_local"][k] == np.sum(
-            grid.weights[grid.nodes <= cfg.evacuation_radius]
-            * (np.abs(v) ** 2)[grid.nodes <= cfg.evacuation_radius] ** 3)
+        a2 = (np.abs(v) ** 2)[ball]
+        assert traj.series["l6_local"][k] == np.sum(grid.weights[ball] * (a2 * a2 * a2))
 
 
 def test_sponge_free_evolve_matches_strang_steps(grid64):
-    """Carrying the sine coefficients between steps changes roundoff only."""
+    """Carrying the half-step factor into the next step, instead of taking it from the
+    recorded state, changes roundoff only."""
     u0 = _chirped(grid64, 1.2)
     cfg = StepperConfig(dt=1e-3, t_end=0.2, snapshot_stride=20)
     traj, _ = evolve(u0, cfg)
@@ -377,10 +384,10 @@ def test_sponge_free_evolve_matches_strang_steps(grid64):
     assert np.max(np.abs(mass - mass[0])) / mass[0] / cfg.t_end <= 1e-10  # criterion 2
 
 
-@pytest.mark.parametrize("sponge, per_step, extra", [(False, 3, 1), (True, 4, 0)])
-def test_transforms_per_step(monkeypatch, sponge, per_step, extra):
-    """Sponge-free runs carry the coefficients (3 transforms a step plus the first);
-    the sponge damps in physical space, so each step transforms again (4)."""
+@pytest.mark.parametrize("sponge, linear", [(False, False), (True, False), (False, True)])
+def test_transforms_per_step(monkeypatch, sponge, linear):
+    """Every step takes one forward and one inverse transform and a run takes no others,
+    with the sponge on or off and on the free flow."""
     calls = {"n": 0}
     for name in ("forward", "inverse"):
         original = getattr(SpectralPlan, name)
@@ -390,11 +397,11 @@ def test_transforms_per_step(monkeypatch, sponge, per_step, extra):
             return _original(self, x)
 
         monkeypatch.setattr(SpectralPlan, name, counted)
-    cfg = StepperConfig(dt=1e-3, t_end=0.03, snapshot_stride=7, sponge=sponge,
-                        morawetz_radius=4.0, flux_radius=4.0)
+    cfg = StepperConfig(dt=1e-3, t_end=0.03, snapshot_stride=7, sponge=sponge, linear=linear,
+                        morawetz_radius=None if linear else 4.0, flux_radius=4.0)
     traj, outcome = evolve(_chirped(RadialGrid(16.0, 127), 0.8), cfg)
     assert outcome.evidence["completed"] and len(traj.times) == 31
-    assert calls["n"] == per_step * 30 + extra
+    assert calls["n"] == 2 * 30
 
 
 _FLUX_GRID = RadialGrid(16.0, 63)
@@ -459,3 +466,25 @@ def test_stepper_config_refuses_negative_or_nonfinite_sponge_strength(bad):
 
 def test_stepper_config_accepts_zero_sponge_strength():
     assert StepperConfig(sponge=True, sponge_strength=0.0).sponge_strength == 0.0
+
+
+def test_linear_run_refuses_morawetz_radius():
+    """The recorded Morawetz rate carries the nonlinear terms, so a free-flow run refuses
+    it; the flux identity holds for the free flow as well, so flux_radius stays allowed."""
+    from dataclasses import replace
+
+    u0 = gaussian(RadialGrid(16.0, 63), 0.3)
+    cfg = StepperConfig(dt=1e-3, t_end=2e-3, linear=True, evacuation_radius=1.0,
+                        morawetz_radius=4.0)
+    with pytest.raises(ContractError, match="linear"):
+        evolve(u0, cfg)
+    traj, _ = evolve(u0, replace(cfg, morawetz_radius=None, flux_radius=4.0))
+    assert "flux_rhs" in traj.series and "morawetz_main" not in traj.series
+
+
+@pytest.mark.parametrize("r_max, n, dt", [(16.0, 127, 1e-3), (128.0, 2047, 2e-3)])
+def test_outcome_reports_top_mode_phase_per_step(r_max, n, dt):
+    """dt * lambda_max is the phase the top sine mode turns in one free step."""
+    grid = RadialGrid(r_max, n)
+    _, outcome = evolve(gaussian(grid, 0.3), StepperConfig(dt=dt, t_end=3 * dt))
+    assert outcome.evidence["dt_lambda_max"] == dt * (n * np.pi / r_max) ** 2

@@ -305,7 +305,8 @@ def _rate_by_masks(u, w):
     inner, mid, outer = r <= w.R, (r > w.R) & (r <= 2 * w.R), r > 2 * w.R
     du = radial_derivative(grid, u.values)
     a2 = np.abs(u.values) ** 2
-    dens = 4.0 * w.a_rr(r) * np.abs(du) ** 2 + w.delta_a(r) * (a2**2 - (4.0 / 3.0) * a2**3)
+    dens = (4.0 * w.a_rr(r) * np.abs(du) ** 2
+            + w.delta_a(r) * (a2**2 - (4.0 / 3.0) * (a2 * a2 * a2)))
     da2 = radial_derivative(grid, a2)
     smooth = float(np.sum(grid.weights[mid] * w.delta_a_prime(r[mid]) * da2[mid]))
     u_edge = cubic_resample(u, np.array([2.0 * w.R]))[0]
