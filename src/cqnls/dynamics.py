@@ -10,13 +10,13 @@ The exact nonlinear flow keeps |u| fixed, so one phase factor per step,
 q = exp(-i (dt/2)(|y|^2 - |y|^4)) taken from the state y after the free
 flow, serves twice: y*q is the recorded state that closes the step, and
 y*q*q starts the free flow of the next one.  A step thus takes one exp, one
-forward and one inverse sine transform (the free flow alone on linear runs).
+forward and one inverse sine transform.
 The sponge, when on, damps y before q is taken, so q is exact for the
 damped modulus too.
 
 Outcome detection is deliberately resolution-aware:
 
-  * blowup: kinetic norm exceeding ``blowup_gradient_factor`` times its
+  * blowup: kinetic norm exceeding ``_BLOWUP_GRADIENT_FACTOR`` (10) times its
     initial value, co-triggered with more than 10% of the spectral kinetic
     density sitting in the top third of the sine modes (a collapsing core
     necessarily drives both).  The spectrum read is that of r*y, after the
@@ -46,6 +46,8 @@ BLEW_UP = "BlewUp"
 UNDECIDED = "Undecided"
 
 _TAIL_FRACTION_LIMIT = 0.1  # spectral-tail kinetic share that flags underresolution
+_BLOWUP_GRADIENT_FACTOR = 10.0  # kinetic growth over its initial value that arms the detector
+_SPONGE_STRENGTH = 5.0  # peak absorption rate of the sponge, at r = r_max
 
 
 @dataclass
@@ -54,11 +56,8 @@ class StepperConfig:
     t_end: float = 10.0
     snapshot_stride: int = 1000
     sponge: bool = False
-    sponge_strength: float = 5.0
-    blowup_gradient_factor: float = 10.0
     evacuation_radius: float = 10.0
     evacuation_epsilon: float = 0.3
-    linear: bool = False  # drop the nonlinear phase (free flow)
     morawetz_radius: float | None = None
     flux_radius: float | None = None
 
@@ -72,10 +71,6 @@ class StepperConfig:
             raise ContractError(f"t_end {self.t_end} is not a whole number of steps of dt {self.dt}")
         if self.snapshot_stride < 1:
             raise ContractError("snapshot_stride must be a positive integer")
-        if not (self.sponge_strength >= 0 and math.isfinite(self.sponge_strength)):
-            raise ContractError("sponge_strength must be nonnegative and finite")
-        if self.blowup_gradient_factor <= 1:
-            raise ContractError("blowup_gradient_factor must exceed 1")
         if not (0 < self.evacuation_epsilon < 1):
             raise ContractError("evacuation epsilon must lie in (0, 1)")
         if not (self.evacuation_radius > 0 and math.isfinite(self.evacuation_radius)):
@@ -125,21 +120,19 @@ def _phase_factor(v: NDArray, t: float) -> NDArray:
     return np.exp(-1j * t * (a2 - a2 * a2))
 
 
-def _step(plan: SpectralPlan, free: NDArray, v: NDArray, q: NDArray | None, dt: float,
-          damp: NDArray | None = None) -> tuple[NDArray, NDArray, NDArray | None]:
+def _step(plan: SpectralPlan, free: NDArray, v: NDArray, q: NDArray, dt: float,
+          damp: NDArray | None = None) -> tuple[NDArray, NDArray, NDArray]:
     """Strang step of v: half-phase q, free flow dt, damping, closing half-phase.
 
-    q is the half-step factor of |v| (None steps the free flow only).  Returns
-    the sine coefficients of r*y after the free flow, the stepped state and its
-    half-step factor, which opens the next step.
+    q is the half-step factor of |v|.  Returns the sine coefficients of r*y
+    after the free flow, the stepped state and its half-step factor, which
+    opens the next step.
     """
     r = plan.grid.nodes
-    coef = free * plan.forward(r * (v if q is None else v * q))
+    coef = free * plan.forward(r * (v * q))
     y = plan.inverse(coef) / r
     if damp is not None:
         y = y * damp
-    if q is None:
-        return coef, y, None
     q = _phase_factor(y, 0.5 * dt)
     return coef, y * q, q
 
@@ -152,11 +145,11 @@ def strang_step(u: RadialField, dt: float) -> RadialField:
     return RadialField(u.grid, v)
 
 
-def _sponge_profile(grid, strength: float) -> NDArray:
+def _sponge_profile(grid) -> NDArray:
     """Quadratic absorber supported on the outer 10% of the ball."""
     r0 = 0.9 * grid.r_max
     ramp = np.clip((grid.nodes - r0) / (grid.r_max - r0), 0.0, 1.0)
-    return strength * ramp**2
+    return _SPONGE_STRENGTH * ramp**2
 
 
 def _flux_weights(grid, R: float):
@@ -173,15 +166,12 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         radius = getattr(cfg, name)
         if radius is not None and radius > grid.r_max:
             raise ContractError(f"{name} {radius} exceeds the domain radius {grid.r_max}")
-    if cfg.linear and cfg.morawetz_radius is not None:
-        raise ContractError("morawetz_radius records the nonlinear flow's rate, "
-                            "but linear = true steps the free flow")
     plan = SpectralPlan.for_grid(grid)
     qw = grid.weights
     dt = cfg.dt
     n_steps = round(cfg.t_end / dt)
     free = np.exp(-1j * plan.eigenvalues * dt)
-    sponge_mult = np.exp(-dt * _sponge_profile(grid, cfg.sponge_strength)) if cfg.sponge else None
+    sponge_mult = np.exp(-dt * _sponge_profile(grid)) if cfg.sponge else None
     tail_mask = np.arange(1, grid.n + 1) > (2 * grid.n) // 3
 
     weight = weight_build(cfg.morawetz_radius) if cfg.morawetz_radius is not None else None
@@ -232,7 +222,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     gradient_fired = False
     trigger: dict = {}  # detector quantities at the last gradient trigger
     if not zero_data:
-        q = None if cfg.linear else _phase_factor(v, 0.5 * dt)
+        q = _phase_factor(v, 0.5 * dt)
         for k in range(1, n_steps + 1):
             coef, v, q = _step(plan, free, v, q, dt, sponge_mult)
             if not np.all(np.isfinite(v.view(float))):
@@ -242,7 +232,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
             if k % cfg.snapshot_stride == 0:
                 snapshots.append(RadialField(grid, v.copy()))
                 snap_times.append(k * dt)
-            if series["kinetic"][k] >= cfg.blowup_gradient_factor * kin0 and kin0 > 0:
+            if series["kinetic"][k] >= _BLOWUP_GRADIENT_FACTOR * kin0 and kin0 > 0:
                 gradient_fired = True
                 spectral = np.abs(coef) ** 2 * plan.eigenvalues
                 tail_fraction = np.sum(spectral[tail_mask]) / np.sum(spectral)

@@ -209,7 +209,7 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path) -> dict:
     amps = np.arange(sw.amplitude_start, sw.amplitude_stop + sw.amplitude_step / 2,
                      sw.amplitude_step)
     # sweeps keep the scalar series of the nonlinear flow only
-    stepper = replace(cfg.stepper, snapshot_stride=10**9, linear=False,
+    stepper = replace(cfg.stepper, snapshot_stride=10**9,
                       morawetz_radius=None, flux_radius=None)
     width = cfg.initial.width if cfg.initial.family == "gaussian" else 1.0
     points = [(cfg.grid, stepper, InitialData(family="gaussian", amplitude=float(a), width=width))
@@ -254,7 +254,7 @@ def run_morawetz(cfg: ExperimentConfig, out: Path) -> dict:
 
     T_full = cfg.stepper.t_end
     ident_cfg = replace(cfg.stepper, t_end=min(2.0, T_full), snapshot_stride=10**9,
-                        sponge=False, linear=False, morawetz_radius=R_w)
+                        sponge=False, morawetz_radius=R_w)
     ident_traj, _ = evolve(u0, ident_cfg)
     residual = identity_residual(ident_traj, w)
     series_from_trajectory(ident_traj).to_csv(out / "morawetz_series.csv")
@@ -274,15 +274,14 @@ def run_morawetz(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def free_decay_study(cfg: ExperimentConfig, out: Path | None = None) -> dict:
+def free_decay_study(cfg: ExperimentConfig, out: Path) -> dict:
     """Sup-norm decay fit and the discrete L^4_t L^inf_x norm of the free flow."""
     grid = RadialGrid(cfg.grid.r_max, cfg.grid.n)
     u0 = build_initial(grid, cfg.initial)
     if integrate_ball(grid, np.abs(u0.values) ** 2) == 0.0:
         summary = {"degenerate": True, "exponent": None, "saturation": None,
                    "norms": {str(T): 0.0 for T in (10.0, 20.0, 40.0, 80.0)}}
-        if out is not None:
-            storage.write_json(out / "free_decay.json", summary)
+        storage.write_json(out / "free_decay.json", summary)
         return summary
     fit_times = np.linspace(2.0, 20.0, 37)
     sups = np.array([np.max(np.abs(free_propagate(u0, t).values)) for t in fit_times])
@@ -302,8 +301,7 @@ def free_decay_study(cfg: ExperimentConfig, out: Path | None = None) -> dict:
     saturation = norms[str(windows[-1])] / norms[str(windows[-2])] - 1.0
     summary = {"degenerate": False, "exponent": exponent, "norms": norms,
                "saturation": saturation}
-    if out is not None:
-        storage.write_json(out / "free_decay.json", summary)
+    storage.write_json(out / "free_decay.json", summary)
     return summary
 
 

@@ -70,6 +70,12 @@ def test_config_errors(tmp_path):
         load_config(bad)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
+    # the stepper has no free-flow switch, sponge strength or blowup factor to set
+    for key, value in (("linear", "true"), ("sponge_strength", "7"),
+                       ("blowup_gradient_factor", "50")):
+        bad.write_text(f"[stepper]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in section \\[stepper\\]"):
+            load_config(bad)
 
 
 def test_bad_json_reports_location(tmp_path):
@@ -172,9 +178,9 @@ def test_cli_failures_write_manifest(tmp_path):
     assert "error.txt" not in manifest["artifacts"]
 
 
-def test_linear_evolve_with_morawetz_radius_is_a_config_error(tmp_path):
-    """A free-flow run would record a Morawetz rate with nonlinear terms it never steps:
-    exit 1 with the reason in error.txt, and no morawetz_series.csv."""
+def test_linear_evolve_with_morawetz_radius_is_a_config_error(tmp_path, capsys):
+    """`linear` is no stepper key (every run steps the nonlinear flow): the config fails
+    to load, so the CLI exits 1 with the key named on stderr and creates no output."""
     cfgfile = tmp_path / "ev.json"
     cfgfile.write_text(json.dumps({
         "experiment": "evolve",
@@ -184,8 +190,8 @@ def test_linear_evolve_with_morawetz_radius_is_a_config_error(tmp_path):
     }))
     out = tmp_path / "o"
     assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
-    assert "ContractError: morawetz_radius" in (out / "evolve" / "error.txt").read_text()
-    assert not (out / "evolve" / "morawetz_series.csv").exists()
+    assert "unknown key 'linear' in section [stepper]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_free_decay_zero_data(tmp_path):
@@ -260,16 +266,15 @@ def test_morawetz_experiment(tmp_path):
 
 def test_morawetz_runs_derive_from_the_stepper_section(tmp_path, monkeypatch):
     """Each run that run_morawetz steps differs from cfg.stepper only in the fields it
-    sets itself, so a configured blowup factor or sponge strength reaches every run.
-    The identity run alone steps the nonlinear flow whatever `linear` says."""
+    sets itself, so a configured dt or evacuation epsilon reaches every run.  The
+    identity run alone steps with the sponge off, whatever the section says."""
     import dataclasses
 
     from cqnls import experiments
     from cqnls.config import GridSpec
     from cqnls.dynamics import StepperConfig
 
-    stepper = StepperConfig(dt=4e-3, t_end=0.08, sponge=True, sponge_strength=7.0,
-                            blowup_gradient_factor=50.0, linear=True, evacuation_radius=3.0,
+    stepper = StepperConfig(dt=4e-3, t_end=0.08, sponge=True, evacuation_radius=3.0,
                             evacuation_epsilon=0.2, morawetz_radius=4.0, flux_radius=3.0)
     cfg = ExperimentConfig(experiment="morawetz", grid=GridSpec(r_max=64.0, n=1023),
                            stepper=stepper)
@@ -282,10 +287,10 @@ def test_morawetz_runs_derive_from_the_stepper_section(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "evolve", recording_evolve)
     experiments.run_morawetz(cfg, tmp_path)
-    overridden = {"t_end", "snapshot_stride", "sponge", "linear", "evacuation_radius",
+    overridden = {"t_end", "snapshot_stride", "sponge", "evacuation_radius",
                   "morawetz_radius", "flux_radius"}
     assert [st.t_end for st in seen] == [0.08, 0.02, 0.04, 0.08]
-    assert [st.linear for st in seen] == [False, True, True, True]
+    assert [st.sponge for st in seen] == [False, True, True, True]
     for st in seen:
         for f in dataclasses.fields(StepperConfig):
             if f.name not in overridden:
@@ -484,7 +489,7 @@ def test_sweep_ignores_diagnostics_and_linear_flow(tmp_path):
     sweep = SweepSpec(amplitude_start=0.4, amplitude_stop=1.2, amplitude_step=0.4,
                       include_bubble=False)
     plain = StepperConfig(dt=4e-3, t_end=0.4, sponge=True)
-    extra = StepperConfig(dt=4e-3, t_end=0.4, sponge=True, linear=True,
+    extra = StepperConfig(dt=4e-3, t_end=0.4, sponge=True,
                           morawetz_radius=100.0, flux_radius=100.0)
     outs = []
     for name, stepper in (("plain", plain), ("extra", extra)):
