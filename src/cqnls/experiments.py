@@ -1,13 +1,15 @@
 """Experiment presets, the sweep driver, and the reproducibility surface.
 
 Every experiment takes an ExperimentConfig, writes its numeric artifacts
-(CSV/JSON) plus a manifest under ``<out_dir>/<experiment>/``, and returns a
-summary dict.  Reruns of the same config reproduce the numeric artifacts
-byte for byte; the manifest additionally records wall time and versions.
+(CSV/JSON, snapshots as .npy) plus a manifest under
+``<out_dir>/<experiment>/``, and returns a summary dict.  Reruns of the same
+config reproduce the numeric artifacts byte for byte; the manifest
+additionally records wall time, versions and the run's memory cost.
 """
 
 from __future__ import annotations
 
+import resource
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -144,7 +146,7 @@ def run_evolve(cfg: ExperimentConfig, out: Path) -> dict:
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
     for t, snap in zip(traj.snapshot_times, traj.snapshots):
-        storage.write_snapshot(snapdir / f"t{t:012.6f}.csv", snap, t=float(t),
+        storage.write_snapshot(snapdir / f"t{t:012.6f}.npy", snap, t=float(t),
                                label=cfg.initial.family)
     if cfg.stepper.morawetz_radius is not None:
         series_from_trajectory(traj).to_csv(out / "morawetz_series.csv")
@@ -409,6 +411,16 @@ def _file_stamps(out: Path) -> dict[str, tuple[int, int, int]]:
     return {name: (st.st_ino, st.st_size, st.st_mtime_ns) for name, st in stats.items()}
 
 
+def _memory_usage() -> tuple[int, float]:
+    """Minor page faults so far and peak RSS in MB, of this process and its reaped workers.
+
+    ``ru_maxrss`` is in KiB, as Linux reports it.
+    """
+    own, workers = (resource.getrusage(who)
+                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return own.ru_minflt + workers.ru_minflt, max(own.ru_maxrss, workers.ru_maxrss) / 1024
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured experiment; returns a process exit code."""
     out = Path(cfg.out_dir) / cfg.experiment
@@ -416,6 +428,7 @@ def run(cfg: ExperimentConfig) -> int:
     error_path = out / "error.txt"
     error_path.unlink(missing_ok=True)  # left by an earlier failed run
     before = _file_stamps(out)
+    faults_before, _ = _memory_usage()
     start = time.perf_counter()
     code = 0
     try:
@@ -432,8 +445,11 @@ def run(cfg: ExperimentConfig) -> int:
         if cfg.experiment == "selftest" and summary.get("failures"):
             code = 3
     wall = time.perf_counter() - start
+    faults, peak_rss_mb = _memory_usage()
     artifacts = [name for name, stamp in _file_stamps(out).items()
                  if before.get(name) != stamp and name != "manifest.json"]
     storage.write_manifest(out / "manifest.json", cfg.to_dict(), wall, artifacts,
-                           status=_EXIT_STATUS[code], exit_code=code)
+                           status=_EXIT_STATUS[code], exit_code=code,
+                           resources={"minor_page_faults": faults - faults_before,
+                                      "peak_rss_mb": peak_rss_mb})
     return code

@@ -49,15 +49,6 @@ class FunctionalReport:
     kc: float
     y_ratio: float
 
-    CSV_HEADER = "mass,kinetic,l4,l6,energy,energy_c,k,h,kc,y_ratio"
-
-    def to_csv_row(self) -> str:
-        return ",".join(
-            repr(v)
-            for v in (self.mass, self.kinetic, self.l4, self.l6, self.energy,
-                      self.energy_c, self.k, self.h, self.kc, self.y_ratio)
-        )
-
 
 def report(u: RadialField, du: FieldDerivative | None = None) -> FunctionalReport:
     """All scalar functionals of a field in one pass; ``du`` is u's FieldDerivative if held."""

@@ -10,10 +10,14 @@ propagator e^{it*Laplacian} are diagonal.
 
 Grid sizes of the form 2**k - 1 map the DST-I onto a radix-2 FFT and are
 roughly an order of magnitude faster than neighbouring sizes.
+
+Importing this module tells glibc's allocator to keep freed memory in the
+process (see ``_keep_freed_memory``).
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -26,6 +30,34 @@ from .errors import ContractError
 
 DEFAULT_R_MAX = 256.0
 DEFAULT_N = 2**14 - 1
+
+# mallopt parameter numbers, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> bool:
+    """Keep freed heap memory in the process instead of returning it to the kernel.
+
+    By default glibc serves blocks of 128 KiB and more (one 16383-node
+    complex array is 256 KiB) with mmap and unmaps them on free, and it trims
+    the heap top once 128 KiB of it are free.  A step allocates and frees
+    the same arrays and transform scratch every time, so each step would
+    fault all of that memory in again.  Raising both thresholds keeps it
+    mapped.  Both are set: setting either one switches off glibc's dynamic
+    adjustment of the pair.  Returns whether the allocator took the
+    settings; without glibc's ``mallopt`` it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    return (mallopt(_M_MMAP_THRESHOLD, 32 * 2**20) == 1  # glibc's maximum
+            and mallopt(_M_TRIM_THRESHOLD, 256 * 2**20) == 1)
+
+
+_FREED_MEMORY_KEPT = _keep_freed_memory()
 
 
 @dataclass

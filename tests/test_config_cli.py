@@ -1,6 +1,7 @@
 """Config parsing round-trips, CLI surface, persistence, reproducibility."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from cqnls.cli import main
 from cqnls.config import ExperimentConfig, dump_ini, from_dict, load_config
-from cqnls.errors import ConfigError
+from cqnls.errors import ConfigError, ContractError
+from cqnls.grid import RadialGrid
 from cqnls.storage import read_snapshot, write_snapshot
 
 from conftest import gaussian
@@ -88,14 +90,93 @@ def test_bad_json_reports_location(tmp_path):
 def test_snapshot_roundtrip(tmp_path, grid64):
     u = gaussian(grid64, amplitude=0.7)
     u.values *= np.exp(0.2j * grid64.nodes**2)
-    path = tmp_path / "snap.csv"
+    path = tmp_path / "snap.npy"
     write_snapshot(path, u, t=1.5, label="test")
     back, meta = read_snapshot(path)
     assert back.grid == grid64
-    assert meta["t"] == 1.5 and meta["label"] == "test"
-    assert np.max(np.abs(back.values - u.values)) <= 1e-12
-    header = path.read_text().splitlines()[0]
-    assert header == "r,re_u,im_u"
+    assert meta == {"r_max": 64.0, "n": grid64.n, "t": 1.5, "label": "test"}
+    assert back.values.dtype == np.complex128 and back.values.shape == (grid64.n,)
+    assert back.values.tobytes() == u.values.tobytes()
+    stored = np.load(path, allow_pickle=False)
+    assert stored.dtype == np.complex128 and stored.tobytes() == u.values.tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros(4095),                         # float64
+    np.zeros(4095, dtype=np.complex64),
+    np.zeros(4095, dtype=">c16"),           # complex, but not native complex128
+    np.zeros(4094, dtype=complex),          # not the sidecar's n
+    np.zeros((4095, 1), dtype=complex),
+    np.array([None] * 4095, dtype=object),  # pickled data
+], ids=["float64", "complex64", "big-endian", "short", "column", "object"])
+def test_read_snapshot_refuses_wrong_arrays(tmp_path, grid64, values):
+    path = tmp_path / "snap.npy"
+    write_snapshot(path, gaussian(grid64))
+    np.save(path, values, allow_pickle=True)  # same path: the name ends in .npy
+    with pytest.raises(ContractError, match=re.escape(str(path))):
+        read_snapshot(path)
+
+
+def test_read_snapshot_refuses_truncated_or_missing_files(tmp_path, grid64):
+    path = tmp_path / "snap.npy"
+    write_snapshot(path, gaussian(grid64))
+    path.write_bytes(path.read_bytes()[:1000])
+    with pytest.raises(ContractError, match=re.escape(str(path))):
+        read_snapshot(path)
+    path.unlink()
+    with pytest.raises(ContractError, match=re.escape(str(path))):
+        read_snapshot(path)
+
+
+def _write_csv_snapshot(path, u):
+    """A snapshot in the CSV layout (header r,re_u,im_u) that cqnls no longer reads."""
+    data = np.column_stack([u.grid.nodes, u.values.real, u.values.imag])
+    np.savetxt(path, data, delimiter=",", header="r,re_u,im_u", comments="")
+    sidecar = {"r_max": u.grid.r_max, "n": u.grid.n, "t": 0.0, "label": "gaussian"}
+    Path(str(path) + ".json").write_text(json.dumps(sidecar))
+
+
+def test_read_snapshot_refuses_csv(tmp_path, grid64):
+    path = tmp_path / "snap.csv"
+    _write_csv_snapshot(path, gaussian(grid64))
+    with pytest.raises(ContractError, match=re.escape(str(path)) + ".*snapshots are complex128 .npy"):
+        read_snapshot(path)
+
+
+def test_evolve_from_csv_snapshot_is_a_config_error(tmp_path, capsys):
+    """family = "file" pointing at a CSV snapshot exits 1 with error.txt; no CSV fallback."""
+    grid = RadialGrid(16.0, 255)
+    snap = tmp_path / "old.csv"
+    _write_csv_snapshot(snap, gaussian(grid, amplitude=0.3))
+    cfgfile = tmp_path / "ev.json"
+    cfgfile.write_text(json.dumps({
+        "experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+        "initial": {"family": "file", "path": str(snap)},
+        "stepper": {"dt": 1e-3, "t_end": 2e-3},
+    }))
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
+    error = out / "evolve" / "error.txt"
+    assert str(error) in capsys.readouterr().out
+    assert "is not a .npy file" in error.read_text()
+    assert not (out / "evolve" / "series.csv").exists()
+
+
+def test_evolve_restarts_from_its_own_snapshot(tmp_path):
+    """run_evolve writes t<time>.npy snapshots that family = "file" reads back bitwise."""
+    base = {"experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+            "stepper": {"dt": 1e-3, "t_end": 2e-3, "snapshot_stride": 1}}
+    cfgfile = tmp_path / "ev.json"
+    cfgfile.write_text(json.dumps(dict(base, initial={"family": "gaussian", "amplitude": 0.3})))
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "a")]) == 0
+    snapdir = tmp_path / "a" / "evolve" / "snapshots"
+    assert sorted(p.name for p in snapdir.iterdir()) == [
+        f"t{t:012.6f}.npy{ext}" for t in (0.0, 1e-3, 2e-3) for ext in ("", ".json")]
+    snap = snapdir / f"t{0.0:012.6f}.npy"
+    cfgfile.write_text(json.dumps(dict(base, initial={"family": "file", "path": str(snap)})))
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "evolve" / "series.csv").read_bytes()
+            == (tmp_path / "b" / "evolve" / "series.csv").read_bytes())
 
 
 def test_cli_thresholds(tmp_path):
@@ -509,3 +590,19 @@ def test_manifest_records_the_package_version(tmp_path):
     write_manifest(tmp_path / "manifest.json", {"a": 1}, 0.5, [])
     got = json.loads((tmp_path / "manifest.json").read_text())
     assert got["versions"]["cqnls"] == cqnls.__version__
+
+
+def test_manifest_records_memory_cost(tmp_path):
+    """manifest.json carries the run's minor page faults and peak RSS, failed or not."""
+    base = {"experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+            "initial": {"family": "gaussian", "amplitude": 0.3}}
+    cfgfile = tmp_path / "ev.json"
+    out = tmp_path / "o"
+    for stepper, code in (({"dt": 1e-3, "t_end": 2e-3}, 0),
+                          ({"dt": 1e-3, "t_end": 2e-3, "evacuation_radius": 40.0}, 1)):
+        cfgfile.write_text(json.dumps(dict(base, stepper=stepper)))
+        assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == code
+        manifest = json.loads((out / "evolve" / "manifest.json").read_text())
+        assert isinstance(manifest["minor_page_faults"], int)
+        assert manifest["minor_page_faults"] >= 0
+        assert manifest["peak_rss_mb"] > 0.0

@@ -98,18 +98,6 @@ def test_sharp_sobolev_sampled(grid64, grid_bubble, th1024):
     assert ratio == pytest.approx(1.0, abs=1e-2)
 
 
-def test_report_csv_row(grid64):
-    from cqnls.functionals import FunctionalReport
-
-    rep = report(gaussian(grid64))
-    row = rep.to_csv_row()
-    header = FunctionalReport.CSV_HEADER.split(",")
-    vals = row.split(",")
-    assert len(vals) == len(header) == 10
-    assert float(vals[header.index("mass")]) == rep.mass
-    assert float(vals[header.index("y_ratio")]) == rep.y_ratio
-
-
 def test_local_l6(grid64):
     zero = RadialField(grid64, np.zeros(grid64.n))
     assert local_l6(zero, 5.0) == 0.0
