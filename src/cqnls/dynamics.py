@@ -153,10 +153,12 @@ def _sponge_profile(grid) -> NDArray:
 
 
 def _flux_weights(grid, R: float):
-    """chi_R, chi_R' and the count k of leading nodes past which both vanish."""
+    """Quadrature weight times chi_R and times chi_R' on the leading k nodes,
+    past which both vanish, and k."""
     ch, dch, _ = chi_profile(grid, R)
-    k = np.flatnonzero((ch != 0) | (dch != 0)).max(initial=-1) + 1
-    return ch, dch, int(k)
+    k = int(np.flatnonzero((ch != 0) | (dch != 0)).max(initial=-1) + 1)
+    q = grid.weights[:k]
+    return q * ch[:k], q * dch[:k], k
 
 
 def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]:
@@ -166,8 +168,11 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         radius = getattr(cfg, name)
         if radius is not None and radius > grid.r_max:
             raise ContractError(f"{name} {radius} exceeds the domain radius {grid.r_max}")
+    if cfg.evacuation_radius < grid.dr:
+        # a ball without nodes would read l6_local = 0 and call every run Scattered
+        raise ContractError(f"evacuation_radius {cfg.evacuation_radius} is below the "
+                            f"node spacing {grid.dr}: its ball holds no node")
     plan = SpectralPlan.for_grid(grid)
-    qw = grid.weights
     dt = cfg.dt
     n_steps = round(cfg.t_end / dt)
     free = np.exp(-1j * plan.eigenvalues * dt)
@@ -188,7 +193,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     v = u0.values.astype(complex).copy()
     snapshots = [RadialField(grid, v.copy())]
     snap_times = [0.0]
-    # one field re-pointed at each recorded state; the loop checks it finite
+    # one field re-pointed at each recorded state, which may be non-finite
     state = RadialField(grid, v)
 
     def record(i: int, vals: NDArray) -> None:
@@ -205,13 +210,12 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
                                  morawetz_rate(state, weight, du)):
                 series[name][i] = val
         if flux is not None:
-            ch, dch, k = flux
-            a4 = du.a2 * du.a2
-            series["flux_chi_l6"][i] = np.sum(qw * ch * du.a6)
-            d_a4 = np.zeros_like(a4)  # zero where chi_R and chi_R' are
-            d_a4[:k] = radial_derivative_on(grid, a4, 0, k)
-            grad_chi_u4 = dch * a4 + ch * d_a4
-            series["flux_rhs"][i] = 6.0 * np.sum(qw * grad_chi_u4 * du.current)
+            # both integrands vanish past the leading k nodes
+            w_ch, w_dch, k = flux
+            series["flux_chi_l6"][i] = w_ch @ du.a6[:k]
+            d_a4 = radial_derivative_on(grid, du.a4, 0, k)
+            w_grad_chi_u4 = w_dch * du.a4[:k] + w_ch * d_a4
+            series["flux_rhs"][i] = 6.0 * (w_grad_chi_u4 @ du.current[:k])
 
     record(0, v)
     kin0 = series["kinetic"][0]
@@ -225,10 +229,13 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         q = _phase_factor(v, 0.5 * dt)
         for k in range(1, n_steps + 1):
             coef, v, q = _step(plan, free, v, q, dt, sponge_mult)
-            if not np.all(np.isfinite(v.view(float))):
+            record(k, v)
+            # a non-finite entry makes the mass non-finite (every weight is
+            # positive); only then is the state itself checked, since |v|^2
+            # can overflow on finite entries
+            if not math.isfinite(series["mass"][k]) and not np.all(np.isfinite(v.view(float))):
                 last = k - 1
                 break
-            record(k, v)
             if k % cfg.snapshot_stride == 0:
                 snapshots.append(RadialField(grid, v.copy()))
                 snap_times.append(k * dt)

@@ -55,11 +55,10 @@ def report(u: RadialField, du: FieldDerivative | None = None) -> FunctionalRepor
     if du is None:
         du = FieldDerivative(u)
     w = u.grid.weights
-    a2 = du.a2
-    mass = float(np.sum(w * a2))
-    kinetic = float(np.sum(w * du.du2))
-    l4 = float(np.sum(w * a2 * a2))
-    l6 = float(np.sum(w * du.a6))
+    mass = float(w @ du.a2)
+    kinetic = float(w @ du.du2)
+    l4 = float(w @ du.a4)
+    l6 = float(w @ du.a6)
     return FunctionalReport(
         mass=mass,
         kinetic=kinetic,
@@ -80,8 +79,8 @@ def local_l6(u: RadialField, R: float, du: FieldDerivative | None = None) -> flo
         raise ContractError(f"local radius {R} exceeds the domain radius {u.grid.r_max}")
     if du is None:
         du = FieldDerivative(u)
-    ball = slice(int(np.count_nonzero(u.grid.nodes <= R)))
-    return float(np.sum(u.grid.weights[ball] * du.a6[ball]))
+    k = int(np.count_nonzero(u.grid.nodes <= R))
+    return float(u.grid.weights[:k] @ du.a6[:k])
 
 
 # ---------------------------------------------------------------------------

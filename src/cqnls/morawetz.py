@@ -35,14 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ContractError, WeightConstructionError
-from .grid import (
-    CubicPoint,
-    FieldDerivative,
-    RadialField,
-    RadialGrid,
-    integrate_ball,
-    radial_derivative_on,
-)
+from .grid import CubicPoint, FieldDerivative, RadialField, RadialGrid, radial_derivative_on
 
 # dimensionless transition patch q(s) and its derivatives (exact integers)
 _Q = np.array([1.0, 2.0, 1.0, 0.0, 80.0, -193.0, 161.0, -46.0])
@@ -142,33 +135,37 @@ class MorawetzWeight:
 
 @dataclass(frozen=True)
 class WeightNodes:
-    """A weight's node vectors on one grid, shared by every state on it.
+    """A weight's quadrature-weighted node vectors on one grid, shared by every
+    state on it.
 
-    The masks of the three regions are contiguous node ranges: the ball
-    r <= R is nodes[:lo], the annulus R < r <= 2R is nodes[lo:hi] and the
-    exterior is nodes[hi:].
+    Each vector is the quadrature weight w_j = 4 pi r_j^2 dr times a weight
+    factor, so every integral of M(t) and dM/dt is one dot product with a
+    pointwise array of the state.  The masks of the three regions are
+    contiguous node ranges: the ball r <= R is nodes[:lo], the annulus
+    R < r <= 2R is nodes[lo:hi] and the exterior is nodes[hi:].  a'' vanishes
+    on the exterior, so ``weighted_a_rr4`` stops at the annulus end.
     """
 
     lo: int
     hi: int
-    a_r: NDArray
-    a_rr4: NDArray  # 4 a''
-    delta_a: NDArray
-    weighted_delta_a_prime: NDArray  # quadrature weight times (Delta a)' on the annulus
+    weighted_a_r2: NDArray  # w 2 a', every node
+    weighted_a_rr4: NDArray  # w 4 a'', nodes[:hi]
+    weighted_delta_a: NDArray  # w Delta a, every node
+    weighted_delta_a_prime: NDArray  # w (Delta a)', the annulus
     edge: CubicPoint  # u(2R)
 
     @classmethod
     def build(cls, w: MorawetzWeight, grid: RadialGrid) -> "WeightNodes":
-        r = grid.nodes
+        r, q = grid.nodes, grid.weights
         lo = int(np.count_nonzero(r <= w.R))
         hi = grid.n - int(np.count_nonzero(r > 2 * w.R))
         return cls(
             lo=lo,
             hi=hi,
-            a_r=w.a_r(r),
-            a_rr4=4.0 * w.a_rr(r),
-            delta_a=w.delta_a(r),
-            weighted_delta_a_prime=grid.weights[lo:hi] * w.delta_a_prime(r[lo:hi]),
+            weighted_a_r2=q * (2.0 * w.a_r(r)),
+            weighted_a_rr4=q[:hi] * (4.0 * w.a_rr(r[:hi])),
+            weighted_delta_a=q * w.delta_a(r),
+            weighted_delta_a_prime=q[lo:hi] * w.delta_a_prime(r[lo:hi]),
             edge=CubicPoint.at(grid, 2.0 * w.R),
         )
 
@@ -221,7 +218,7 @@ def morawetz_action(u: RadialField, w: MorawetzWeight,
     """
     if du is None:
         du = FieldDerivative(u)
-    return 2.0 * integrate_ball(u.grid, du.current * w.on_grid(u.grid).a_r)
+    return float(w.on_grid(u.grid).weighted_a_r2 @ du.current)
 
 
 def _bilaplacian_term(u: RadialField, w: MorawetzWeight, nodes: WeightNodes,
@@ -235,7 +232,7 @@ def _bilaplacian_term(u: RadialField, w: MorawetzWeight, nodes: WeightNodes,
     (the inner surface vanishes since Delta a is constant there).
     """
     da2 = radial_derivative_on(u.grid, a2, nodes.lo, nodes.hi)
-    smooth = float(np.sum(nodes.weighted_delta_a_prime * da2))
+    smooth = float(nodes.weighted_delta_a_prime @ da2)
     u_edge = nodes.edge(u.values)
     return 24.0 * np.pi * w.R * float(np.abs(u_edge) ** 2) + smooth
 
@@ -250,15 +247,16 @@ def morawetz_rate(u: RadialField, w: MorawetzWeight,
     if du is None:
         du = FieldDerivative(u)
     nodes = w.on_grid(u.grid)
-    a2 = du.a2
-    # 4 Re(conj(u_i) a_ij u_j) = 4 a''|u_r|^2 on radial data; the tangential
-    # part 12R/r |angular grad u|^2 of the exterior group is identically 0.
-    dens = nodes.a_rr4 * du.du2 + nodes.delta_a * (a2**2 - (4.0 / 3.0) * du.a6)
-    weights = u.grid.weights
     lo, hi = nodes.lo, nodes.hi
-    main = float(np.sum(weights[:lo] * dens[:lo]))
-    err1 = float(np.sum(weights[hi:] * dens[hi:]))
-    err2 = float(np.sum(weights[lo:hi] * dens[lo:hi])) + _bilaplacian_term(u, w, nodes, a2)
+    # 4 Re(conj(u_i) a_ij u_j) = 4 a''|u_r|^2 on radial data; the tangential
+    # part 12R/r |angular grad u|^2 of the exterior group is identically 0,
+    # and so is a'' there.
+    kin, pot = du.du2, du.a4 - (4.0 / 3.0) * du.a6
+    wk, wp = nodes.weighted_a_rr4, nodes.weighted_delta_a
+    main = float(wk[:lo] @ kin[:lo] + wp[:lo] @ pot[:lo])
+    err1 = float(wp[hi:] @ pot[hi:])
+    err2 = (float(wk[lo:hi] @ kin[lo:hi] + wp[lo:hi] @ pot[lo:hi])
+            + _bilaplacian_term(u, w, nodes, du.a2))
     return main, err1, err2
 
 

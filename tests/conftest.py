@@ -48,6 +48,25 @@ def random_smooth_field(grid, rng, n_bumps=3, max_amp=1.0, chirp=True):
     return RadialField(grid, vals)
 
 
+def textbook_radial_derivative(grid, values):
+    """radial_derivative with its interior stencil in the textbook term order,
+    (-y[j+2] + 8 y[j+1] - 8 y[j-1] + y[j-2]) / (12 h): the reference that the
+    accuracy guards hold the two-pass stencil and the dot-product quadrature to."""
+    from cqnls.grid import radial_derivative
+
+    y = np.asarray(values)
+    d = radial_derivative(grid, y)  # the one-sided closures are unchanged
+    d[2:-2] = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * grid.dr)
+    return d
+
+
+def random_chirped_field(grid, rng):
+    """random_smooth_field with a chirp always on, so that Im(conj(u) du/dr) is not
+    zero up to roundoff, as it is for a real profile times a constant phase."""
+    u = random_smooth_field(grid, rng, chirp=False)
+    return RadialField(grid, u.values * np.exp(1j * rng.uniform(0.1, 0.5) * grid.nodes**2))
+
+
 @pytest.fixture(scope="session")
 def kplus_run():
     """Amplitude-0.1 gaussian, dt = 1e-3, T = 10, sponge off (shared by several tests)."""

@@ -23,7 +23,12 @@ from cqnls.grid import RadialField, RadialGrid, SpectralPlan, free_propagate, ra
 
 from cqnls.morawetz import identity_residual, weight_build
 
-from conftest import gaussian, random_smooth_field
+from conftest import (
+    gaussian,
+    random_chirped_field,
+    random_smooth_field,
+    textbook_radial_derivative,
+)
 
 
 def test_nonlinear_phase_fixed_modulus_one(grid64):
@@ -233,6 +238,47 @@ def test_nonfinite_state_aborts_undecided(grid64, monkeypatch):
     assert np.all(np.isfinite(traj.series["mass"]))
 
 
+def test_overflowing_finite_state_is_kept(grid64, monkeypatch):
+    """Finite entries whose |u|^2 overflows make the recorded mass infinite but not the
+    state: that step is kept, and the run aborts one step later, when the state is
+    non-finite.  The gradient trigger fired on the kept step, so the tag is BlewUp."""
+    import cqnls.dynamics as dyn
+
+    real_factor = dyn._phase_factor
+    count = {"n": 0}
+
+    def poisoned(v, t):
+        count["n"] += 1
+        out = real_factor(v, t)
+        if count["n"] == 6:  # closes step 5
+            out = out.copy()
+            out[0] = 1e160
+        return out
+
+    monkeypatch.setattr(dyn, "_phase_factor", poisoned)
+    u0 = gaussian(grid64, amplitude=0.3)
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, snapshot_stride=10**9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj, outcome = evolve(u0, cfg)
+    assert len(traj.times) == 6  # step 5 kept, step 6 non-finite
+    assert np.all(np.isfinite(traj.series["mass"][:5])) and traj.series["mass"][5] == np.inf
+    assert outcome.tag == BLEW_UP and outcome.t_event == traj.times[-1]
+    assert outcome.evidence["aborted_nonfinite"] and outcome.evidence["gradient_fired"]
+
+
+def test_evacuation_ball_without_nodes_is_refused():
+    """A ball of radius below dr holds no node, so l6_local would read 0 and every run
+    Scattered; evolve refuses it.  A radius of exactly dr holds the first node."""
+    grid = RadialGrid(32.0, 511)
+    u0 = gaussian(grid, 1.0)
+    for radius in (0.01, 0.999 * grid.dr):
+        with pytest.raises(ContractError, match="evacuation_radius"):
+            evolve(u0, StepperConfig(dt=1e-3, t_end=2e-3, evacuation_radius=radius))
+    traj, _ = evolve(u0, StepperConfig(dt=1e-3, t_end=2e-3, evacuation_radius=grid.dr))
+    a2 = np.abs(u0.values[0]) ** 2
+    assert traj.series["l6_local"][0] == grid.weights[0] * (a2 * a2 * a2) > 0
+
+
 def test_stepper_config_validation():
     with pytest.raises(ContractError):
         StepperConfig(dt=-1.0)
@@ -377,9 +423,9 @@ def test_sponge_evolve_matches_old_formula_bitwise():
         if k:
             v, q = _ref_step(v, q, grid.nodes, free, cfg.dt, sponge)
         assert snap.values.tobytes() == v.tobytes()
-        assert traj.series["mass"][k] == np.sum(grid.weights * np.abs(v) ** 2)
+        assert traj.series["mass"][k] == grid.weights @ (np.abs(v) ** 2)
         a2 = (np.abs(v) ** 2)[ball]
-        assert traj.series["l6_local"][k] == np.sum(grid.weights[ball] * (a2 * a2 * a2))
+        assert traj.series["l6_local"][k] == grid.weights[ball] @ (a2 * a2 * a2)
 
 
 def test_sponge_free_evolve_matches_strang_steps(grid64):
@@ -427,19 +473,55 @@ _DR = _FLUX_GRID.dr
                           16.0 - 2 * _DR, 16.0 - _DR, 16.0 - 0.5 * _DR, 16.0])
        | st.floats(0.3 * _DR, 16.0))
 def test_flux_rhs_equals_full_grid_formula(R):
-    """d|u|^4/dr taken only where chi_R or chi_R' is nonzero leaves flux_rhs unchanged,
+    """The flux terms are taken only on the leading nodes where chi_R or chi_R' is
+    nonzero: exactly the windowed formula, and the full-grid formula to roundoff,
     from radii below the first node through radii within two nodes of r_max."""
     grid = _FLUX_GRID
     cfg = StepperConfig(dt=1e-3, t_end=4e-3, snapshot_stride=1, flux_radius=R)
     traj, _ = evolve(_chirped(grid, 1.1, chirp=0.5), cfg)
     s = grid.nodes / R
     ch, dch = chi(s), chi_derivatives(s)[0] / R
+    win = slice(np.flatnonzero((ch != 0) | (dch != 0)).max(initial=-1) + 1)
+    w_ch, w_dch = grid.weights[win] * ch[win], grid.weights[win] * dch[win]
     for k, snap in enumerate(traj.snapshots):
         vals = snap.values
         current = np.imag(np.conj(vals) * radial_derivative(grid, vals))
-        a4 = (np.abs(vals) ** 2) ** 2
-        grad_chi_u4 = dch * a4 + ch * radial_derivative(grid, a4)
-        assert traj.series["flux_rhs"][k] == 6.0 * np.sum(grid.weights * grad_chi_u4 * current)
+        a2 = np.abs(vals) ** 2
+        a4 = a2 * a2
+        d_a4 = radial_derivative(grid, a4)
+        windowed = 6.0 * ((w_dch * a4[win] + w_ch * d_a4[win]) @ current[win])
+        assert traj.series["flux_rhs"][k] == windowed
+        assert traj.series["flux_chi_l6"][k] == w_ch @ (a4 * a2)[win]
+        full = 6.0 * np.sum(grid.weights * (dch * a4 + ch * d_a4) * current)
+        assert abs(traj.series["flux_rhs"][k] - full) <= 1e-13 * abs(full)
+        full_l6 = np.sum(grid.weights * ch * (a4 * a2))
+        assert abs(traj.series["flux_chi_l6"][k] - full_l6) <= 1e-13 * full_l6
+
+
+@pytest.mark.parametrize("r_max, n", [(16.0, 255), (64.0, 4095)])
+def test_windowed_flux_terms_match_full_grid_sums(r_max, n):
+    """The flux terms, dot products over the chi_R window on the two-pass stencil,
+    agree with the full-grid np.sum(w * f) formulas on the textbook stencil to 1e-13
+    of the sum of |w * f| (flux_rhs changes sign; chi_R |u|^6 does not).  The fields
+    are chirped, so that the current is not zero up to roundoff."""
+    grid = RadialGrid(r_max, n)
+    rng = np.random.default_rng(n + 3)
+    for R in (1.0, 3.7, r_max / 4):
+        s = grid.nodes / R
+        ch, dch = chi(s), chi_derivatives(s)[0] / R
+        for _ in range(3):
+            u = random_chirped_field(grid, rng)
+            traj, _ = evolve(u, StepperConfig(dt=1e-3, t_end=1e-3, flux_radius=R))
+            a2 = np.abs(u.values) ** 2
+            a4 = a2 * a2
+            current = np.imag(np.conj(u.values) * textbook_radial_derivative(grid, u.values))
+            rhs = 6.0 * grid.weights * (dch * a4 + ch * textbook_radial_derivative(grid, a4))
+            rhs *= current
+            chi_l6 = grid.weights * ch * (a2 * a2 * a2)
+            assert (abs(traj.series["flux_rhs"][0] - np.sum(rhs))
+                    <= 1e-13 * np.sum(np.abs(rhs)))
+            assert (abs(traj.series["flux_chi_l6"][0] - np.sum(chi_l6))
+                    <= 1e-13 * np.sum(chi_l6))
 
 
 @pytest.mark.parametrize("amplitude, chirp", [(1.3, 0.2), (0.9, -0.4)])

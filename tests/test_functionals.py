@@ -28,7 +28,7 @@ from cqnls.grid import (
     radial_derivative,
 )
 
-from conftest import gaussian, random_smooth_field
+from conftest import gaussian, random_smooth_field, textbook_radial_derivative
 
 # adaptive-quadrature oracle values for u = exp(-r^2)
 GAUSS = {
@@ -231,9 +231,31 @@ def test_local_l6_is_the_masked_sum(grid64, R):
     u = random_smooth_field(grid64, np.random.default_rng(13))
     mask = grid64.nodes <= R
     a2 = (np.abs(u.values) ** 2)[mask]
-    expected = np.sum(grid64.weights[mask] * (a2 * a2 * a2))
+    expected = grid64.weights[mask] @ (a2 * a2 * a2)
     assert local_l6(u, R) == expected
     assert local_l6(u, R, FieldDerivative(u)) == expected
+
+
+@pytest.mark.parametrize("r_max, n", [(16.0, 255), (64.0, 4095)])
+def test_report_dots_match_full_grid_sums(r_max, n):
+    """report and local_l6, dot products on the two-pass stencil, agree with the
+    np.sum(w * f) formulas on the textbook stencil to 1e-13 relative; every
+    integrand is nonnegative, so no cancellation hides an error."""
+    grid = RadialGrid(r_max, n)
+    w = grid.weights
+    rng = np.random.default_rng(n + 1)
+    for _ in range(5):
+        u = random_smooth_field(grid, rng)
+        a2 = np.abs(u.values) ** 2
+        du = textbook_radial_derivative(grid, u.values)
+        rep = report(u)
+        for name, want in (("mass", np.sum(w * a2)), ("kinetic", np.sum(w * np.abs(du) ** 2)),
+                           ("l4", np.sum(w * a2 * a2)), ("l6", np.sum(w * (a2 * a2 * a2)))):
+            assert abs(getattr(rep, name) - want) <= 1e-13 * want
+        for R in (1.0, 3.7, r_max / 4):
+            ball = grid.nodes <= R
+            want = np.sum(w[ball] * (a2 * a2 * a2)[ball])
+            assert abs(local_l6(u, R) - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("R", [0.01, 1.0, 4.0, 8.0, 37.5, 64.0])

@@ -16,7 +16,12 @@ from cqnls.morawetz import (
     weight_build,
 )
 
-from conftest import gaussian, random_smooth_field
+from conftest import (
+    gaussian,
+    random_chirped_field,
+    random_smooth_field,
+    textbook_radial_derivative,
+)
 
 
 @pytest.fixture(scope="module")
@@ -298,22 +303,27 @@ def test_averaged_local_l6_refuses_other_radius(grid64):
 
 
 def _rate_by_masks(u, w):
-    """dM/dt groups from the array evaluators, region masks rebuilt per call."""
+    """dM/dt groups from the array evaluators, region masks rebuilt per call.
+
+    Each integral is a dot product of quadrature weight times weight factor
+    with a pointwise array, one per region, as morawetz_rate takes them.
+    """
     from cqnls.grid import cubic_resample
 
-    grid, r = u.grid, u.grid.nodes
+    grid, r, q = u.grid, u.grid.nodes, u.grid.weights
     inner, mid, outer = r <= w.R, (r > w.R) & (r <= 2 * w.R), r > 2 * w.R
     du = radial_derivative(grid, u.values)
     a2 = np.abs(u.values) ** 2
-    dens = (4.0 * w.a_rr(r) * np.abs(du) ** 2
-            + w.delta_a(r) * (a2**2 - (4.0 / 3.0) * (a2 * a2 * a2)))
+    kin = np.abs(du) ** 2
+    pot = a2 * a2 - (4.0 / 3.0) * (a2 * a2 * a2)
+    w_kin, w_pot = q * (4.0 * w.a_rr(r)), q * w.delta_a(r)
     da2 = radial_derivative(grid, a2)
-    smooth = float(np.sum(grid.weights[mid] * w.delta_a_prime(r[mid]) * da2[mid]))
+    smooth = float((q * w.delta_a_prime(r))[mid] @ da2[mid])
     u_edge = cubic_resample(u, np.array([2.0 * w.R]))[0]
     bilap = 24.0 * np.pi * w.R * float(np.abs(u_edge) ** 2) + smooth
-    return (float(np.sum(grid.weights[inner] * dens[inner])),
-            float(np.sum(grid.weights[outer] * dens[outer])),
-            float(np.sum(grid.weights[mid] * dens[mid])) + bilap)
+    return (float(w_kin[inner] @ kin[inner] + w_pot[inner] @ pot[inner]),
+            float(w_pot[outer] @ pot[outer]),
+            float(w_kin[mid] @ kin[mid] + w_pot[mid] @ pot[mid]) + bilap)
 
 
 @pytest.mark.parametrize("R_in_dr", [0.3, 0.45, 0.6, 1.0, 1.5, 2.2, 30.0, 63.7, 64.0, 100.0])
@@ -331,9 +341,48 @@ def test_cached_nodes_match_array_evaluators(R_in_dr):
         u = RadialField(grid, rng.uniform(0.2, 1.0) * np.exp(-((r / rng.uniform(0.3, 6.0)) ** 2))
                         * np.exp(1j * rng.uniform(-1, 1) * r))
         du = radial_derivative(grid, u.values)
-        action = 2.0 * integrate_ball(grid, np.imag(np.conj(u.values) * du) * w.a_r(r))
+        action = (grid.weights * (2.0 * w.a_r(r))) @ np.imag(np.conj(u.values) * du)
         assert morawetz_action(u, w) == action
         assert morawetz_rate(u, w) == _rate_by_masks(u, w)
+
+
+def _full_grid_sums(u, w):
+    """M and the dM/dt groups as np.sum(w * f) over region masks on the textbook
+    stencil, each as (value, sum of |w * f| over its terms)."""
+    from cqnls.grid import cubic_resample
+
+    grid, r, q = u.grid, u.grid.nodes, u.grid.weights
+    inner, mid, outer = r <= w.R, (r > w.R) & (r <= 2 * w.R), r > 2 * w.R
+    du = textbook_radial_derivative(grid, u.values)
+    a2 = np.abs(u.values) ** 2
+    action = 2.0 * q * (np.imag(np.conj(u.values) * du) * w.a_r(r))
+    dens = q * (4.0 * w.a_rr(r) * np.abs(du) ** 2
+                + w.delta_a(r) * (a2**2 - (4.0 / 3.0) * (a2 * a2 * a2)))
+    smooth = q[mid] * w.delta_a_prime(r[mid]) * textbook_radial_derivative(grid, a2)[mid]
+    edge = 24.0 * np.pi * w.R * float(np.abs(cubic_resample(u, np.array([2.0 * w.R]))[0]) ** 2)
+    return ((np.sum(action), np.sum(np.abs(action))),
+            (np.sum(dens[inner]), np.sum(np.abs(dens[inner]))),
+            (np.sum(dens[outer]), np.sum(np.abs(dens[outer]))),
+            (np.sum(dens[mid]) + (edge + np.sum(smooth)),
+             np.sum(np.abs(dens[mid])) + edge + np.sum(np.abs(smooth))))
+
+
+@pytest.mark.parametrize("r_max, n", [(16.0, 255), (64.0, 4095)])
+def test_morawetz_dots_match_full_grid_sums(r_max, n):
+    """morawetz_action and morawetz_rate, dot products on the two-pass stencil, agree
+    with the np.sum(w * f) formulas on the textbook stencil to 1e-13 of the sum of
+    |w * f|.  The integrands change sign, and a random field's ball group can cancel
+    to a thirtieth of that sum, so the integral itself is not the scale.  The fields are
+    chirped: for a real profile the current, and with it M, is zero up to roundoff."""
+    grid = RadialGrid(r_max, n)
+    rng = np.random.default_rng(n + 2)
+    for R in (1.0, 3.7, r_max / 4):
+        w = weight_build(R)
+        for _ in range(4):
+            u = random_chirped_field(grid, rng)
+            got = (morawetz_action(u, w),) + morawetz_rate(u, w)
+            for value, (want, scale) in zip(got, _full_grid_sums(u, w)):
+                assert abs(value - want) <= 1e-13 * scale
 
 
 def test_cubic_point_matches_cubic_resample():
@@ -351,13 +400,14 @@ def test_cubic_point_matches_cubic_resample():
 def test_evolve_series_match_public_functions(seed, R):
     """The stepper's recorded Morawetz series equal the public functions on its snapshots.
 
-    R = 0.01 < dr leaves the transition annulus without nodes.
+    R = 0.01 < dr leaves the transition annulus without nodes; the evacuation ball
+    must hold a node, so its radius is at least dr.
     """
     grid = RadialGrid(32.0, 511)
     assert not np.any((grid.nodes > 0.01) & (grid.nodes <= 0.02))
     u0 = random_smooth_field(grid, np.random.default_rng(seed))
     cfg = StepperConfig(dt=1e-3, t_end=0.01, snapshot_stride=1, morawetz_radius=R,
-                        flux_radius=R, evacuation_radius=R)
+                        flux_radius=R, evacuation_radius=max(R, grid.dr))
     traj, _ = evolve(u0, cfg)
     w = weight_build(R)
     assert len(traj.snapshots) == len(traj.times)
