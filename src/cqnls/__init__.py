@@ -17,7 +17,6 @@ from .functionals import (
     apply_cutoff,
     cutoff_identity_residual,
     local_l6,
-    radial_weighted_sup,
     report,
     spacetime_norm,
 )
@@ -39,7 +38,6 @@ from .dynamics import (
     Trajectory,
     evolve,
     flux_identity_residual,
-    nonlinear_phase_step,
     strang_step,
 )
 from .morawetz import (

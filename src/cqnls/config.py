@@ -195,28 +195,3 @@ def load_config(path) -> ExperimentConfig:
         else:
             raise ConfigError(f"unknown section [{sec}]")
     return from_dict(d)
-
-
-def dump_ini(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
-    parser["run"] = {
-        "experiment": cfg.experiment,
-        "out_dir": cfg.out_dir,
-        "seed": str(cfg.seed),
-        "workers": str(cfg.workers),
-    }
-    for sec, obj in (("grid", cfg.grid), ("initial", cfg.initial),
-                     ("stepper", cfg.stepper), ("sweep", cfg.sweep)):
-        parser[sec] = {}
-        for f in fields(obj):
-            val = getattr(obj, f.name)
-            if isinstance(val, tuple):
-                val = ",".join(repr(x) for x in val)
-            elif val is None:
-                val = "none"
-            parser[sec][f.name] = str(val)
-    import io
-
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()

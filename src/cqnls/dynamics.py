@@ -109,11 +109,6 @@ class RunOutcome:
         return {"tag": self.tag, "t_event": self.t_event, "evidence": self.evidence}
 
 
-def nonlinear_phase_step(u: RadialField, dt: float) -> RadialField:
-    """Exact flow of i u_t = (|u|^2 - |u|^4) u: a pointwise phase rotation."""
-    return RadialField(u.grid, u.values * _phase_factor(u.values, dt))
-
-
 def _phase_factor(v: NDArray, t: float) -> NDArray:
     """exp(-i t (|v|^2 - |v|^4)): the nonlinear flow over time t, as a multiplier of v."""
     a2 = np.abs(v) ** 2

@@ -55,46 +55,6 @@ def build_initial(grid: RadialGrid, spec: InitialData) -> RadialField:
     return RadialField(grid, vals.astype(complex))
 
 
-def sample_below_threshold(grid: RadialGrid, rng: np.random.Generator, count: int,
-                           ec_w: float) -> list[RadialField]:
-    """Random radial H^1 fields with energy below the threshold.
-
-    Mixes smooth multi-bump profiles (gradient-dominated, k > 0 side) with
-    concentrated cutoff bubbles (sextic-dominated, k < 0 side) so both
-    branches of the dichotomy are exercised.
-    """
-    fields = []
-    r = grid.nodes
-    while len(fields) < count:
-        if rng.uniform() < 0.35:
-            lam = rng.choice([4.0, 8.0, 16.0])
-            a = rng.uniform(1.02, 1.8)
-            vals = bubble(r, a, lam) * chi(r / rng.uniform(6.0, 12.0))
-            u = RadialField(grid, vals.astype(complex))
-        else:
-            vals = np.zeros(grid.n, dtype=complex)
-            for _ in range(rng.integers(1, 4)):
-                amp = rng.uniform(0.05, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                width = rng.uniform(0.5, 4.0)
-                vals += amp * np.exp(-((r / width) ** 2)) * (1 + rng.uniform(0, 2) * (r / width) ** 2)
-            if rng.uniform() < 0.5:
-                vals *= np.exp(1j * rng.uniform(-0.5, 0.5) * r**2)
-            u = RadialField(grid, vals)
-        rep = report(u)
-        if rep.mass == 0:
-            continue
-        if rep.energy >= ec_w:
-            # pull the amplitude down until the field sits below threshold
-            for _ in range(40):
-                u = RadialField(grid, 0.8 * u.values)
-                if report(u).energy < ec_w:
-                    break
-            else:
-                continue
-        fields.append(u)
-    return fields
-
-
 # ---------------------------------------------------------------------------
 # experiments
 

@@ -74,12 +74,19 @@ def report(u: RadialField, du: FieldDerivative | None = None) -> FunctionalRepor
 
 
 def local_l6(u: RadialField, R: float, du: FieldDerivative | None = None) -> float:
-    """Sextic mass on the nodes r <= R, a leading slice (the evacuation monitor)."""
+    """Sextic mass on the nodes r <= R, a leading slice (the evacuation monitor).
+
+    A ball that holds no node (R below the first node ``dr``) is refused, not
+    read as zero.
+    """
     if R > u.grid.r_max:
         raise ContractError(f"local radius {R} exceeds the domain radius {u.grid.r_max}")
+    k = int(np.count_nonzero(u.grid.nodes <= R))
+    if k == 0:
+        raise ContractError(f"local radius {R} is below the node spacing {u.grid.dr}: "
+                            f"its ball holds no node")
     if du is None:
         du = FieldDerivative(u)
-    k = int(np.count_nonzero(u.grid.nodes <= R))
     return float(u.grid.weights[:k] @ du.a6[:k])
 
 
@@ -133,11 +140,6 @@ def cutoff_identity_residual(u: RadialField, R: float) -> float:
         grid, ch * lap_chi * np.abs(u.values) ** 2
     )
     return abs(lhs - rhs) / (1.0 + abs(lhs))
-
-
-def radial_weighted_sup(u: RadialField) -> float:
-    """max_j r_j |u(r_j)|, the quantity controlled by radial Sobolev embedding."""
-    return float(np.max(u.grid.nodes * np.abs(u.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,8 @@ def _sine_transform(transform, x: NDArray) -> NDArray:
     complex128 array is the same memory as a float array with a trailing
     axis of (real, imag) pairs, so transforming that view along the
     second-to-last axis does both halves in one call.  The output is
-    bitwise identical to ``transform(x, type=1)``.  Other dtypes take the
-    plain call.
+    bitwise identical to ``transform(x, type=1)``.  Other dtypes are cast to
+    complex128 first, which is exact.
 
     The complex result is a view of the float output.  numpy never reuses a
     view in place as a temporary, so from 256 KiB (16384 nodes) on, where it
@@ -154,10 +154,8 @@ def _sine_transform(transform, x: NDArray) -> NDArray:
     ``free * forward(w)`` keeps its operand order and may differ in the
     last bit from the same product on the plain call.
     """
-    x = np.asarray(x)
-    if x.dtype != np.complex128:
-        return transform(x, type=1)
-    pairs = np.ascontiguousarray(x).view(np.float64).reshape(x.shape + (2,))
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    pairs = x.view(np.float64).reshape(x.shape + (2,))
     out = transform(pairs, type=1, axis=-2)
     return np.ascontiguousarray(out).view(np.complex128)[..., 0]
 
@@ -183,28 +181,32 @@ def radial_derivative(grid: RadialGrid, values: NDArray) -> NDArray:
     multiplied by 1/(12 h).  It rounds the same four terms as the textbook
     order and differs from it by a few ulp of those terms.
     """
-    y = np.asarray(values)
-    h = grid.dr
-    d = np.empty_like(y)
-    t = y[:-4] - y[4:]
-    t += 8 * (y[3:-1] - y[1:-3])
-    d[2:-2] = t * (1 / (12 * h))
-    d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
-    d[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
-    d[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h)
-    d[-2] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / (12 * h)
-    return d
+    return radial_derivative_on(grid, values, 0, len(values))
 
 
 def radial_derivative_on(grid: RadialGrid, values: NDArray, lo: int, hi: int) -> NDArray:
-    """radial_derivative(grid, values)[lo:hi], from a slice of at least 5 nodes whose
-    ends are grid ends or two nodes past [lo, hi) (the 5-point stencil's reach)."""
-    if hi <= lo:
-        return values[:0]
-    a, b = max(lo - 2, 0), min(hi + 2, grid.n)
-    if b - a < 5:
-        a, b = (0, 5) if a == 0 else (b - 5, b)
-    return radial_derivative(grid, values[a:b])[lo - a:hi - a]
+    """radial_derivative(grid, values)[lo:hi], computed on those nodes only.
+
+    The interior stencil reads two nodes past the window; a one-sided
+    closure is evaluated only for a grid end inside the window.
+    """
+    y = np.asarray(values)
+    n, h = len(y), grid.dr
+    d = np.empty_like(y[lo:hi])
+    a, b = max(lo, 2), min(hi, n - 2)  # the window's interior nodes
+    if a < b:
+        t = y[a - 2:b - 2] - y[a + 2:b + 2]
+        t += 8 * (y[a + 1:b + 1] - y[a - 1:b - 1])
+        d[a - lo:b - lo] = t * (1 / (12 * h))
+    if lo <= 0 < hi:
+        d[-lo] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
+    if lo <= 1 < hi:
+        d[1 - lo] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
+    if lo <= n - 2 < hi:
+        d[n - 2 - lo] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / (12 * h)
+    if lo <= n - 1 < hi:
+        d[n - 1 - lo] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h)
+    return d
 
 
 class FieldDerivative:

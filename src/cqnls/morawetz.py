@@ -12,8 +12,7 @@ The patch is monotone (a' >= 0 everywhere) but cannot be convex: any
 transition between these two pinned branches needs average slope 5R across
 the annulus while ending at slope 3R, so a'' < 0 somewhere in (R, 2R) for
 *every* admissible interpolant.  The build scan therefore enforces a' >= 0
-and junction smoothness, and records the (necessarily negative) minimum of
-a'' on the annulus as a diagnostic instead of failing on it.
+and junction smoothness only.
 
 For a radial field the rate of M(t) = 2 Im int conj(u) u_r a'(r) splits as
 
@@ -42,7 +41,6 @@ _Q = np.array([1.0, 2.0, 1.0, 0.0, 80.0, -193.0, 161.0, -46.0])
 _Q1 = np.polynomial.polynomial.polyder(_Q)
 _Q2 = np.polynomial.polynomial.polyder(_Q, 2)
 _Q3 = np.polynomial.polynomial.polyder(_Q, 3)
-_Q4 = np.polynomial.polynomial.polyder(_Q, 4)
 _polyval = np.polynomial.polynomial.polyval
 
 
@@ -51,7 +49,6 @@ class MorawetzWeight:
     """Evaluators for the piecewise radial weight and its derivatives."""
 
     R: float
-    transition_min_a_rr: float = field(init=False, default=0.0)
     _node_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def on_grid(self, grid: RadialGrid) -> "WeightNodes":
@@ -102,13 +99,6 @@ class MorawetzWeight:
         out[mid] = _polyval((r[mid] - self.R) / self.R, _Q3) / self.R
         return out
 
-    def _a_rrrr(self, r: NDArray) -> NDArray:
-        r = np.asarray(r, dtype=float)
-        inner, mid, outer = self._regions(r)
-        out = np.zeros_like(r)
-        out[mid] = _polyval((r[mid] - self.R) / self.R, _Q4) / self.R**2
-        return out
-
     def delta_a(self, r: NDArray) -> NDArray:
         """3D Laplacian of the weight: a'' + 2 a'/r (6 inside, 6R/r outside)."""
         return self.a_rr(r) + 2.0 * self.a_r(r) / np.asarray(r, dtype=float)
@@ -117,20 +107,6 @@ class MorawetzWeight:
         """d/dr of the Laplacian; continuous across the junctions (a is C^3)."""
         r = np.asarray(r, dtype=float)
         return self._a_rrr(r) + 2.0 * self.a_rr(r) / r - 2.0 * self.a_r(r) / r**2
-
-    def bilaplacian_a(self, r: NDArray) -> NDArray:
-        """LapLap(a); identically zero outside the transition annulus."""
-        r = np.asarray(r, dtype=float)
-        a1, a2 = self.a_r(r), self.a_rr(r)
-        a3, a4 = self._a_rrr(r), self._a_rrrr(r)
-        g1 = a3 + 2 * a2 / r - 2 * a1 / r**2
-        g2 = a4 + 2 * a3 / r - 4 * a2 / r**2 + 4 * a1 / r**3
-        return g2 + 2 * g1 / r
-
-    def hessian_eigenvalues(self, r: NDArray) -> tuple[NDArray, NDArray]:
-        """Radial and tangential eigenvalues (a'', a'/r) of the Hessian."""
-        r = np.asarray(r, dtype=float)
-        return self.a_rr(r), self.a_r(r) / r
 
 
 @dataclass(frozen=True)
@@ -205,7 +181,6 @@ def weight_build(R: float, scan_points: int = 1001) -> MorawetzWeight:
         raise WeightConstructionError(
             f"weight is not monotone: a' < 0 at r = {R * (1 + bad):.6g}"
         )
-    w.transition_min_a_rr = float(np.min(_polyval(s, _Q2)))
     return w
 
 

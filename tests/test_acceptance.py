@@ -12,12 +12,7 @@ import pytest
 
 from cqnls.config import ExperimentConfig, GridSpec, InitialData
 from cqnls.dynamics import BLEW_UP, SCATTERED, StepperConfig, evolve
-from cqnls.experiments import (
-    build_initial,
-    free_decay_study,
-    run_dichotomy,
-    sample_below_threshold,
-)
+from cqnls.experiments import build_initial, free_decay_study, run_dichotomy
 from cqnls.functionals import GROUND_STATE_ENERGY_C, GROUND_STATE_KINETIC, report
 from cqnls.grid import RadialField, RadialGrid, SpectralPlan, laplacian
 from cqnls.morawetz import averaged_local_l6, identity_residual, weight_build
@@ -30,7 +25,7 @@ from cqnls.variational import (
     scale_phi,
 )
 
-from conftest import gaussian, random_smooth_field
+from conftest import gaussian, random_smooth_field, sample_below_threshold
 
 MULTISCALE = InitialData(family="gaussian-mix",
                          amplitudes=(0.55, 0.18, 0.16), widths=(1.0, 4.0, 16.0))

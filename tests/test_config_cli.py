@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqnls.cli import main
-from cqnls.config import ExperimentConfig, dump_ini, from_dict, load_config
+from cqnls.config import (ExperimentConfig, GridSpec, InitialData, SweepSpec, from_dict,
+                          load_config)
+from cqnls.dynamics import StepperConfig
 from cqnls.errors import ConfigError, ContractError
 from cqnls.grid import RadialGrid
 from cqnls.storage import read_snapshot, write_snapshot
@@ -35,13 +37,27 @@ def test_json_roundtrip():
     assert back == cfg
 
 
-def test_ini_roundtrip(tmp_path):
-    cfg = ExperimentConfig(experiment="dichotomy-sweep", workers=2)
-    cfg.stepper.sponge = True
-    cfg.sweep.amplitude_step = 0.25
+def test_ini_sets_every_field_kind(tmp_path):
+    """Every section, and a bool, int, float, tuple, none and str field, from INI text."""
     path = tmp_path / "cfg.ini"
-    path.write_text(dump_ini(cfg))
-    assert load_config(path) == cfg
+    path.write_text(
+        "[run]\nexperiment = dichotomy-sweep\nout_dir = runs/a\nseed = 3\nworkers = 2\n\n"
+        "[grid]\nr_max = 64.0\nn = 2047\n\n"
+        "[initial]\nfamily = gaussian-mix\namplitudes = 0.5, 0.25\nwidths = 1,4.0\n"
+        "path = data/u0.npy\n\n"
+        "[stepper]\ndt = 2e-3\nt_end = 0.5\nsnapshot_stride = 50\nsponge = yes\n"
+        "morawetz_radius = 8\nflux_radius = none\n\n"
+        "[sweep]\namplitude_step = 0.25\ninclude_bubble = off\n"
+    )
+    assert load_config(path) == ExperimentConfig(
+        experiment="dichotomy-sweep", out_dir="runs/a", seed=3, workers=2,
+        grid=GridSpec(r_max=64.0, n=2047),
+        initial=InitialData(family="gaussian-mix", amplitudes=(0.5, 0.25), widths=(1.0, 4.0),
+                            path="data/u0.npy"),
+        stepper=StepperConfig(dt=2e-3, t_end=0.5, snapshot_stride=50, sponge=True,
+                              morawetz_radius=8.0, flux_radius=None),
+        sweep=SweepSpec(amplitude_step=0.25, include_bubble=False),
+    )
 
 
 def test_ini_example(tmp_path):
@@ -488,10 +504,14 @@ def test_tuple_fields_parse_lists_and_strings():
 
 
 def test_shipped_configs_load():
+    from cqnls.experiments import REGISTRY
+
     configs = sorted((Path(__file__).parent.parent / "configs").glob("*.*"))
     assert len(configs) == 4
     for path in configs:
-        assert isinstance(load_config(path), ExperimentConfig)
+        cfg = load_config(path)
+        assert isinstance(cfg, ExperimentConfig)
+        assert cfg.experiment in REGISTRY
 
 
 def test_manifest_lists_only_this_runs_files(tmp_path):

@@ -15,7 +15,6 @@ from cqnls.functionals import (
     chi_profile,
     cutoff_identity_residual,
     local_l6,
-    radial_weighted_sup,
     report,
     spacetime_norm,
 )
@@ -159,12 +158,6 @@ def test_cutoff_identity_residual(grid64):
         assert cutoff_identity_residual(u, 8.0) <= 1e-4
 
 
-def test_radial_weighted_sup(grid64):
-    # max of r e^{-r^2} is (2e)^{-1/2} at r = 2^{-1/2}
-    assert radial_weighted_sup(gaussian(grid64)) == pytest.approx(0.4288819424803534, abs=1e-3)
-    assert radial_weighted_sup(RadialField(grid64, np.zeros(grid64.n))) == 0.0
-
-
 def test_radial_embedding_ratio(grid64):
     """||r u||_inf / ||u||_H1 <= 0.3 on sampled fields (provable bound 1/sqrt(4 pi))."""
     rng = np.random.default_rng(8)
@@ -172,7 +165,7 @@ def test_radial_embedding_ratio(grid64):
         u = random_smooth_field(grid64, rng)
         rep = report(u)
         h1 = np.sqrt(rep.mass + rep.kinetic)
-        assert radial_weighted_sup(u) / h1 <= 0.3
+        assert np.max(grid64.nodes * np.abs(u.values)) / h1 <= 0.3
 
 
 class _FakeTraj:
@@ -229,6 +222,11 @@ def test_field_derivative_products(grid64):
 @pytest.mark.parametrize("R", [0.01, 1.0, 3.7, 10.0, 64.0])
 def test_local_l6_is_the_masked_sum(grid64, R):
     u = random_smooth_field(grid64, np.random.default_rng(13))
+    if R < grid64.dr:  # the ball holds no node: refused, not read as zero
+        for du in (None, FieldDerivative(u)):
+            with pytest.raises(ContractError, match="holds no node"):
+                local_l6(u, R, du)
+        return
     mask = grid64.nodes <= R
     a2 = (np.abs(u.values) ** 2)[mask]
     expected = grid64.weights[mask] @ (a2 * a2 * a2)

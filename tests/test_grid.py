@@ -14,6 +14,7 @@ from cqnls.grid import (
     integrate_ball,
     laplacian,
     radial_derivative,
+    radial_derivative_on,
 )
 
 from cqnls.functionals import report
@@ -122,6 +123,45 @@ def test_two_pass_stencil_matches_textbook_order(r_max, n):
             assert np.max(np.abs(new - old)) <= 1e-14 * scale
 
 
+def _reference_radial_derivative(h, y):
+    """The full-grid stencil with its four one-sided closures, written out."""
+    d = np.empty_like(y)
+    t = y[:-4] - y[4:]
+    t += 8 * (y[3:-1] - y[1:-3])
+    d[2:-2] = t * (1 / (12 * h))
+    d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
+    d[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
+    d[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h)
+    d[-2] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / (12 * h)
+    return d
+
+
+@pytest.mark.parametrize("r_max, n", [(16.0, 255), (64.0, 4095)])
+def test_windowed_derivative_is_the_full_derivative_bitwise(r_max, n):
+    """radial_derivative_on(lo, hi) is radial_derivative()[lo:hi] byte for byte, for
+    real and complex data and every kind of window: interior, at either grid end,
+    shorter than the 5-point stencil, empty."""
+    grid = RadialGrid(r_max, n)
+    rng = np.random.default_rng(n + 7)
+    windows = [(0, n), (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 6),
+               (0, 100), (3, n - 3), (100, 101), (100, 103), (100, 104), (100, 160),
+               (n - 1, n), (n - 2, n), (n - 3, n - 1), (n - 4, n), (n - 2, n - 1),
+               (n - 100, n), (7, 7), (9, 4)]
+    for _ in range(20):
+        lo = int(rng.integers(0, n))
+        windows.append((lo, int(rng.integers(lo + 1, n + 1))))
+    for v in (random_smooth_field(grid, rng).values,
+              rng.standard_normal(n) + 1j * rng.standard_normal(n),
+              rng.standard_normal(n),
+              np.abs(random_smooth_field(grid, rng).values) ** 4):
+        full = radial_derivative(grid, v)
+        assert full.tobytes() == _reference_radial_derivative(grid.dr, v).tobytes()
+        for lo, hi in windows:
+            part = radial_derivative_on(grid, v, lo, hi)
+            assert part.dtype == v.dtype
+            assert part.tobytes() == full[lo:hi].tobytes(), (lo, hi)
+
+
 def test_laplacian_eigenfunction(grid_default):
     g = grid_default
     u = RadialField(g, np.sin(np.pi * g.nodes / g.r_max) / g.nodes)
@@ -196,6 +236,10 @@ def test_complex_transforms_equal_scipy_bitwise(n):
     for vec in (x[:n], x[::2]):
         assert plan.forward(vec).tobytes() == dst(vec, type=1).tobytes()
         assert plan.inverse(vec).tobytes() == idst(vec, type=1).tobytes()
+    # real input is cast to complex first, exactly
+    real = x.real[:n]
+    assert plan.forward(real).tobytes() == dst(real.astype(complex), type=1).tobytes()
+    assert plan.inverse(real).tobytes() == idst(real.astype(complex), type=1).tobytes()
 
 
 def test_free_propagate_identity(grid64):

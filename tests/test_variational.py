@@ -25,7 +25,7 @@ from cqnls.variational import (
     thresholds,
 )
 
-from conftest import gaussian, random_smooth_field
+from conftest import gaussian, random_smooth_field, sample_below_threshold
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +120,6 @@ def test_kminus_preset_is_the_scanned_amplitude():
 
 def test_classification_equivalence_sampled(grid128, th1024):
     """sign(k) >= 0 iff kinetic <= ||grad W||^2, below the threshold."""
-    from cqnls.experiments import sample_below_threshold
-
     rng = np.random.default_rng(11)
     for u in sample_below_threshold(grid128, rng, 100, th1024.ec_w):
         cls = classify(u, th1024)
