@@ -3,8 +3,9 @@
 Every experiment takes an ExperimentConfig, writes its numeric artifacts
 (CSV/JSON, snapshots as .npy) plus a manifest under
 ``<out_dir>/<experiment>/``, and returns a summary dict.  Reruns of the same
-config reproduce the numeric artifacts byte for byte; the manifest
-additionally records wall time, versions and the run's memory cost.
+config reproduce the numeric artifacts byte for byte, except the append-only
+ledger ``classifications.csv`` that each ``classify`` run adds a line to; the
+manifest additionally records wall time, versions and the run's memory cost.
 """
 
 from __future__ import annotations
@@ -214,26 +215,36 @@ def run_morawetz(cfg: ExperimentConfig, out: Path) -> dict:
     R_w = cfg.stepper.morawetz_radius or 8.0
     w = weight_build(R_w)
 
-    T_full = cfg.stepper.t_end
-    ident_cfg = replace(cfg.stepper, t_end=min(2.0, T_full), snapshot_stride=10**9,
+    ident_cfg = replace(cfg.stepper, t_end=min(2.0, cfg.stepper.t_end), snapshot_stride=10**9,
                         sponge=False, morawetz_radius=R_w)
     ident_traj, _ = evolve(u0, ident_cfg)
     residual = identity_residual(ident_traj, w)
     series_from_trajectory(ident_traj).to_csv(out / "morawetz_series.csv")
 
-    rows = []
-    for T in (T_full / 4, T_full / 2, T_full):
-        st = replace(cfg.stepper, t_end=T, snapshot_stride=10**9,
-                     evacuation_radius=T ** (1.0 / 3.0), morawetz_radius=None, flux_radius=None)
-        traj, _ = evolve(u0, st)
-        rows.append({"T": T, "R": T ** (1.0 / 3.0),
-                     "average": averaged_local_l6(traj, T ** (1.0 / 3.0))})
-    slope = float(np.polyfit(np.log([r["T"] for r in rows]),
-                             np.log([max(r["average"], 1e-300) for r in rows]), 1)[0])
+    rows, slope, _ = averaged_l6_scaling(u0, cfg.stepper)
     summary = {"rows": rows, "fit_slope": slope, "identity_residual": residual,
                "weight_radius": R_w}
     storage.write_json(out / "averaged_l6.json", summary)
     return summary
+
+
+def averaged_l6_scaling(u0: RadialField,
+                        stepper: StepperConfig) -> tuple[list[dict], float, list[Trajectory]]:
+    """The rows {T, R, average} of the averaged local sextic mass at R = T^(1/3)
+    for T = t_end/4, t_end/2, t_end, their log-log slope, and the trajectories.
+
+    Morawetz and flux recording are off; every other field is ``stepper``'s."""
+    rows, trajs = [], []
+    for T in (stepper.t_end / 4, stepper.t_end / 2, stepper.t_end):
+        st = replace(stepper, t_end=T, snapshot_stride=10**9,
+                     evacuation_radius=T ** (1.0 / 3.0), morawetz_radius=None, flux_radius=None)
+        traj, _ = evolve(u0, st)
+        rows.append({"T": T, "R": T ** (1.0 / 3.0),
+                     "average": averaged_local_l6(traj, T ** (1.0 / 3.0))})
+        trajs.append(traj)
+    slope = float(np.polyfit(np.log([r["T"] for r in rows]),
+                             np.log([max(r["average"], 1e-300) for r in rows]), 1)[0])
+    return rows, slope, trajs
 
 
 def free_decay_study(cfg: ExperimentConfig, out: Path) -> dict:

@@ -279,8 +279,11 @@ def free_propagate(u: RadialField, t: float) -> RadialField:
 
 
 def _cubic_taps(grid: RadialGrid, radii: NDArray):
-    """Lattice position b and Lagrange weights of taps b-1 .. b+2 for each radius."""
-    x = np.asarray(radii) / grid.dr
+    """Lattice taps b-1 .. b+2 around each radius, as (index, scale, weights):
+    a tap reads w = scale * u[index], with scale r_j on the grid, -r_1 at the
+    mirrored tap j = -1, and 0 at r = 0, past r_max and for a radius past r_max."""
+    radii = np.asarray(radii)
+    x = radii / grid.dr
     b = np.clip(np.floor(x).astype(np.int64), 0, grid.n)
     t = x - b
     coef = (
@@ -289,7 +292,18 @@ def _cubic_taps(grid: RadialGrid, radii: NDArray):
         -(t + 1) * t * (t - 2) / 2,
         (t + 1) * t * (t - 1) / 6,
     )
-    return b, coef
+    j = b + np.arange(-1, 3)[:, None]
+    on_grid = (j >= 1) & (j <= grid.n)
+    index = np.where(on_grid, j - 1, np.where(j < 0, -j - 1, 0))
+    sign = np.where(on_grid & (radii <= grid.r_max), 1.0, np.where(j < 0, -1.0, 0.0))
+    return index, sign * grid.nodes[index], coef
+
+
+def _cubic_sum(values: NDArray, index: NDArray, scale: NDArray, coef: tuple):
+    """The Lagrange sum over the four taps of w = r*u that _cubic_taps describes."""
+    w = scale * values[index]
+    c0, c1, c2, c3 = coef
+    return c0 * w[0] + c1 * w[1] + c2 * w[2] + c3 * w[3]
 
 
 def cubic_resample(u: RadialField, radii: NDArray) -> NDArray:
@@ -299,32 +313,15 @@ def cubic_resample(u: RadialField, radii: NDArray) -> NDArray:
     exactly, w(-r_j) = -w(r_j)), then divides by the query radius.  Queries
     beyond r_max return 0 (zero extension).
     """
-    grid = u.grid
-    n = grid.n
-    w_ext = np.zeros(n + 6, dtype=complex)  # lattice j = -3 .. n+2
-    w_ext[4:4 + n] = grid.nodes * u.values
-    w_ext[0:3] = -w_ext[6:3:-1]
-    b, (c0, c1, c2, c3) = _cubic_taps(grid, radii)
-    base = b + 3
-    vals = (
-        c0 * w_ext[base - 1]
-        + c1 * w_ext[base]
-        + c2 * w_ext[base + 1]
-        + c3 * w_ext[base + 2]
-    )
+    vals = _cubic_sum(u.values, *_cubic_taps(u.grid, radii))
     safe_r = np.where(radii > 0, radii, 1.0)
-    return np.where(radii <= grid.r_max, vals / safe_r, 0.0)
+    return np.where(radii <= u.grid.r_max, vals / safe_r, 0.0)
 
 
 @dataclass(frozen=True)
 class CubicPoint:
-    """cubic_resample at one fixed radius > 0, reduced to four node reads.
-
-    Built once per (grid, radius); evaluating it gathers the four taps of w
-    (r_j u_j, -r_j u_j for the mirrored tap at j = -1, 0 at r = 0 and beyond
-    r_max, and all four 0 for a radius beyond r_max) instead of building the
-    padded lattice.
-    """
+    """cubic_resample at one fixed radius > 0, its taps built once per
+    (grid, radius) so that evaluating it reads four nodes."""
 
     radius: float
     index: NDArray
@@ -335,16 +332,8 @@ class CubicPoint:
     def at(cls, grid: RadialGrid, radius: float) -> "CubicPoint":
         if not radius > 0:
             raise ContractError("interpolation radius must be positive")
-        b, coef = _cubic_taps(grid, np.array([radius]))
-        j = int(b[0]) + np.arange(-1, 3)  # lattice taps; node index j - 1
-        on_grid = (j >= 1) & (j <= grid.n)
-        index = np.where(on_grid, j - 1, np.where(j < 0, -j - 1, 0))
-        sign = np.where(on_grid, 1.0, np.where(j < 0, -1.0, 0.0))
-        if radius > grid.r_max:
-            sign[:] = 0.0
-        return cls(radius, index, sign * grid.nodes[index], tuple(c[0] for c in coef))
+        index, scale, coef = _cubic_taps(grid, np.array([radius]))
+        return cls(radius, index[:, 0], scale[:, 0], tuple(c[0] for c in coef))
 
     def __call__(self, values: NDArray) -> complex:
-        w = self.scale * values[self.index]
-        c0, c1, c2, c3 = self.coef
-        return (c0 * w[0] + c1 * w[1] + c2 * w[2] + c3 * w[3]) / self.radius
+        return _cubic_sum(values, self.index, self.scale, self.coef) / self.radius

@@ -43,6 +43,19 @@ _Q2 = np.polynomial.polynomial.polyder(_Q, 2)
 _Q3 = np.polynomial.polynomial.polyder(_Q, 3)
 _polyval = np.polynomial.polynomial.polyval
 
+# a, a', a'' and a''' on each branch as functions of (r, R): the ball r <= R,
+# the transition annulus R < r <= 2R (through s = (r - R)/R) and the exterior
+_BALL = (lambda r, R: r**2, lambda r, R: 2 * r, lambda r, R: 2.0, lambda r, R: 0.0)
+_TRANSITION = (
+    lambda r, R: R**2 * _polyval((r - R) / R, _Q),
+    lambda r, R: R * _polyval((r - R) / R, _Q1),
+    lambda r, R: _polyval((r - R) / R, _Q2),
+    lambda r, R: _polyval((r - R) / R, _Q3) / R,
+)
+_EXTERIOR = (lambda r, R: 3 * R * r, lambda r, R: 3 * R, lambda r, R: 0.0, lambda r, R: 0.0)
+_BRANCHES = (_BALL, _TRANSITION, _EXTERIOR)
+_SCAN_POINTS = 1001  # monotonicity scan of the transition patch
+
 
 @dataclass
 class MorawetzWeight:
@@ -59,45 +72,24 @@ class MorawetzWeight:
             nodes = self._node_cache[key] = WeightNodes.build(self, grid)
         return nodes
 
-    def _regions(self, r: NDArray):
+    def _derivative(self, r: NDArray, k: int) -> NDArray:
+        """The k-th derivative of a at radii r, each branch on its region."""
+        r = np.asarray(r, dtype=float)
         inner = r <= self.R
         outer = r > 2 * self.R
-        mid = ~inner & ~outer
-        return inner, mid, outer
+        out = np.empty_like(r)
+        for mask, branch in zip((inner, ~inner & ~outer, outer), _BRANCHES):
+            out[mask] = branch[k](r[mask], self.R)
+        return out
 
     def a(self, r: NDArray) -> NDArray:
-        r = np.asarray(r, dtype=float)
-        inner, mid, outer = self._regions(r)
-        out = np.empty_like(r)
-        out[inner] = r[inner] ** 2
-        out[outer] = 3 * self.R * r[outer]
-        out[mid] = self.R**2 * _polyval((r[mid] - self.R) / self.R, _Q)
-        return out
+        return self._derivative(r, 0)
 
     def a_r(self, r: NDArray) -> NDArray:
-        r = np.asarray(r, dtype=float)
-        inner, mid, outer = self._regions(r)
-        out = np.empty_like(r)
-        out[inner] = 2 * r[inner]
-        out[outer] = 3 * self.R
-        out[mid] = self.R * _polyval((r[mid] - self.R) / self.R, _Q1)
-        return out
+        return self._derivative(r, 1)
 
     def a_rr(self, r: NDArray) -> NDArray:
-        r = np.asarray(r, dtype=float)
-        inner, mid, outer = self._regions(r)
-        out = np.empty_like(r)
-        out[inner] = 2.0
-        out[outer] = 0.0
-        out[mid] = _polyval((r[mid] - self.R) / self.R, _Q2)
-        return out
-
-    def _a_rrr(self, r: NDArray) -> NDArray:
-        r = np.asarray(r, dtype=float)
-        inner, mid, outer = self._regions(r)
-        out = np.zeros_like(r)
-        out[mid] = _polyval((r[mid] - self.R) / self.R, _Q3) / self.R
-        return out
+        return self._derivative(r, 2)
 
     def delta_a(self, r: NDArray) -> NDArray:
         """3D Laplacian of the weight: a'' + 2 a'/r (6 inside, 6R/r outside)."""
@@ -106,7 +98,7 @@ class MorawetzWeight:
     def delta_a_prime(self, r: NDArray) -> NDArray:
         """d/dr of the Laplacian; continuous across the junctions (a is C^3)."""
         r = np.asarray(r, dtype=float)
-        return self._a_rrr(r) + 2.0 * self.a_rr(r) / r - 2.0 * self.a_r(r) / r**2
+        return self._derivative(r, 3) + 2.0 * self.a_rr(r) / r - 2.0 * self.a_r(r) / r**2
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,7 @@ class WeightNodes:
         )
 
 
-def weight_build(R: float, scan_points: int = 1001) -> MorawetzWeight:
+def weight_build(R: float) -> MorawetzWeight:
     """Construct the weight and verify its build-time inequalities.
 
     Checks junction continuity of a..a''' to 1e-10 (relative to R-scaled
@@ -157,24 +149,14 @@ def weight_build(R: float, scan_points: int = 1001) -> MorawetzWeight:
         raise ContractError("weight radius must be positive and finite")
     w = MorawetzWeight(R)
     eps = 1e-10
-    for r0, inner_vals in (
-        (R, (R**2, 2 * R, 2.0, 0.0)),
-        (2 * R, (6 * R**2, 3 * R, 0.0, 0.0)),
-    ):
-        s = (r0 - R) / R
-        patch = (
-            R**2 * _polyval(s, _Q),
-            R * _polyval(s, _Q1),
-            float(_polyval(s, _Q2)),
-            float(_polyval(s, _Q3)) / R,
-        )
-        scales = (R**2, R, 1.0, 1.0 / R)
-        for got, want, sc in zip(patch, inner_vals, scales):
-            if abs(got - want) > eps * max(sc, 1.0):
+    for r0, side in ((R, _BALL), (2 * R, _EXTERIOR)):
+        for k in range(4):
+            got, want = float(_TRANSITION[k](r0, R)), side[k](r0, R)
+            if abs(got - want) > eps * max(R ** (2 - k), 1.0):
                 raise WeightConstructionError(
                     f"junction mismatch at r = {r0}: {got!r} vs {want!r}"
                 )
-    s = np.linspace(0.0, 1.0, scan_points)
+    s = np.linspace(0.0, 1.0, _SCAN_POINTS)
     q1 = _polyval(s, _Q1)
     if np.any(q1 < -1e-12):
         bad = s[np.argmin(q1)]

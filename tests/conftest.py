@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqnls.dynamics import StepperConfig, evolve
+from cqnls.dynamics import StepperConfig, Trajectory, evolve
 from cqnls.functionals import chi, report
 from cqnls.grid import RadialField, RadialGrid
 from cqnls.variational import bubble, thresholds
@@ -35,6 +35,18 @@ def th1024():
 
 def gaussian(grid, amplitude=1.0, width=1.0):
     return RadialField(grid, amplitude * np.exp(-((grid.nodes / width) ** 2)).astype(complex))
+
+
+def trajectory_head(traj, steps):
+    """The first ``steps`` steps of traj: its times and series up to record
+    ``steps`` and the snapshots taken by then.  A sponge-on evolve to
+    steps * dt records exactly this head of a longer run."""
+    times = traj.times[: steps + 1]
+    snaps = traj.snapshot_times <= times[-1]
+    return Trajectory(times=times, series={k: v[: steps + 1] for k, v in traj.series.items()},
+                      series_meta=traj.series_meta,
+                      snapshots=[s for s, keep in zip(traj.snapshots, snaps) if keep],
+                      snapshot_times=traj.snapshot_times[snaps])
 
 
 def random_smooth_field(grid, rng, n_bumps=3, max_amp=1.0, chirp=True):

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqnls.config import ExperimentConfig, GridSpec, InitialData
+from cqnls.config import ExperimentConfig, GridSpec, InitialData, load_config
 from cqnls.dynamics import BLEW_UP, SCATTERED, StepperConfig, evolve
-from cqnls.experiments import build_initial, free_decay_study, run_dichotomy
+from cqnls.experiments import averaged_l6_scaling, build_initial, free_decay_study, run_dichotomy
 from cqnls.functionals import GROUND_STATE_ENERGY_C, GROUND_STATE_KINETIC, report
 from cqnls.grid import RadialField, RadialGrid, SpectralPlan, laplacian
-from cqnls.morawetz import averaged_local_l6, identity_residual, weight_build
+from cqnls.morawetz import identity_residual, weight_build
 from cqnls.variational import (
     K_PLUS,
     classify,
@@ -27,11 +27,8 @@ from cqnls.variational import (
 
 from conftest import gaussian, random_smooth_field, sample_below_threshold
 
-MULTISCALE = InitialData(family="gaussian-mix",
-                         amplitudes=(0.55, 0.18, 0.16), widths=(1.0, 4.0, 16.0))
-
-
-REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
+ROOT = Path(__file__).resolve().parent.parent
+REPORT = ROOT / "acceptance_report.txt"
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -54,16 +51,12 @@ def fine_grid():
 
 
 @pytest.fixture(scope="module")
-def scaling_runs():
-    """Three KPlus runs of the multiscale packet, T in {40, 80, 160}, R = T^(1/3)."""
-    grid = RadialGrid(128.0, 2**12 - 1)
-    u0 = build_initial(grid, MULTISCALE)
-    out = {}
-    for T in (40.0, 80.0, 160.0):
-        cfg = StepperConfig(dt=2e-3, t_end=T, snapshot_stride=10**9, sponge=True,
-                            evacuation_radius=T ** (1.0 / 3.0))
-        out[T] = evolve(u0, cfg)
-    return u0, out
+def scaling_study():
+    """The T-scaling study that configs/morawetz_scaling.json ships: the
+    multiscale KPlus packet, T in {40, 80, 160}, R = T^(1/3)."""
+    cfg = load_config(ROOT / "configs" / "morawetz_scaling.json")
+    u0 = build_initial(RadialGrid(cfg.grid.r_max, cfg.grid.n), cfg.initial)
+    return u0, averaged_l6_scaling(u0, cfg.stepper)
 
 
 def test_criterion_1_ground_state_identities(th1024):
@@ -185,24 +178,18 @@ def test_criterion_6_morawetz_identity():
           f"coarse {res_c:.2e}->{res_c2:.2e}")
 
 
-def test_criterion_7_averaged_l6_scaling(scaling_runs, th1024):
-    u0, runs = scaling_runs
+def test_criterion_7_averaged_l6_scaling(scaling_study, th1024):
+    u0, (rows, slope, _) = scaling_study
     assert classify(u0, th1024).tag == K_PLUS
-    rows = []
-    for T, (traj, _) in runs.items():
-        rows.append((T, averaged_local_l6(traj, T ** (1.0 / 3.0))))
-    slope = float(np.polyfit(np.log([T for T, _ in rows]),
-                             np.log([v for _, v in rows]), 1)[0])
     ok = -0.85 <= slope <= -0.45
     _line(7, "averaged local-L6 decay rate", ok,
-          "slope=%.3f averages=%s" % (slope, ["%.3e" % v for _, v in rows]))
+          "slope=%.3f averages=%s" % (slope, ["%.3e" % row["average"] for row in rows]))
 
 
-def test_criterion_7_kinetic_ceiling_on_scaling_run(scaling_runs, th1024):
+def test_criterion_7_kinetic_ceiling_on_scaling_run(scaling_study, th1024):
     # every KPlus run in the suite keeps its kinetic ratio below 1
-    _, runs = scaling_runs
-    traj, _ = runs[40.0]
-    y_max = float(np.max(traj.series["kinetic"]) / GROUND_STATE_KINETIC)
+    _, (_, _, trajs) = scaling_study
+    y_max = float(np.max(trajs[0].series["kinetic"]) / GROUND_STATE_KINETIC)
     _line(3, "ceiling on the multiscale run", y_max < 1.0, f"max_y={y_max:.3f}")
 
 

@@ -1,6 +1,7 @@
 """Strang stepping, conservation, outcomes, and the local flux identity."""
 
 import resource
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -427,6 +428,25 @@ def test_sponge_evolve_matches_old_formula_bitwise():
         assert traj.series["mass"][k] == grid.weights @ (np.abs(v) ** 2)
         a2 = (np.abs(v) ** 2)[ball]
         assert traj.series["l6_local"][k] == grid.weights[ball] @ (a2 * a2 * a2)
+
+
+def test_evolve_sponge_run_is_head_of_longer_run():
+    """A sponge-on run to T is bitwise the head of the run to 2T: no step depends on
+    the time or on t_end, which lets a T-scaling study slice one long run."""
+    grid = RadialGrid(32.0, 255)
+    u0 = _chirped(grid, 1.3)
+    cfg = StepperConfig(dt=4e-3, t_end=0.4, snapshot_stride=100, sponge=True,
+                        evacuation_radius=3.0, morawetz_radius=4.0, flux_radius=5.0)
+    short, _ = evolve(u0, cfg)
+    long, _ = evolve(u0, replace(cfg, t_end=0.8))
+    n = len(short.times)
+    assert n == 101 and len(long.times) == 201
+    assert short.times.tobytes() == long.times[:n].tobytes()
+    assert short.series.keys() == long.series.keys()
+    for name, values in short.series.items():
+        assert values.tobytes() == long.series[name][:n].tobytes(), name
+    assert short.snapshot_times.tolist() == [0.0, short.times[-1]] == long.snapshot_times[:2].tolist()
+    assert short.snapshots[-1].values.tobytes() == long.snapshots[1].values.tobytes()
 
 
 def test_sponge_free_evolve_matches_strang_steps(grid64):

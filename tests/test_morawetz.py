@@ -21,6 +21,7 @@ from conftest import (
     random_chirped_field,
     random_smooth_field,
     textbook_radial_derivative,
+    trajectory_head,
 )
 
 
@@ -258,13 +259,13 @@ def test_averaged_l6_shell_constants_stable():
     ]
     fits = []
     for u0 in family:
-        rows = []
-        for T in (16.0, 32.0):
-            for R in (3.0, 5.0, 8.0):
-                cfg = StepperConfig(dt=4e-3, t_end=T, snapshot_stride=10**9,
-                                    sponge=True, evacuation_radius=R)
-                traj, _ = evolve(u0, cfg)
-                rows.append((T, R, averaged_local_l6(traj, R)))
+        # one run to T = 32 per radius; the T = 16 run is its head
+        # (test_evolve_sponge_run_is_head_of_longer_run)
+        runs = {R: evolve(u0, StepperConfig(dt=4e-3, t_end=32.0, snapshot_stride=10**9,
+                                            sponge=True, evacuation_radius=R))[0]
+                for R in (3.0, 5.0, 8.0)}
+        rows = [(T, R, averaged_local_l6(trajectory_head(runs[R], round(T / 4e-3)), R))
+                for T in (16.0, 32.0) for R in (3.0, 5.0, 8.0)]
         A = np.array([[R, T / R**2] for T, R, _ in rows])
         b = np.array([avg * T for T, _, avg in rows])
         C, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -322,6 +323,37 @@ def _rate_by_masks(u, w):
     return (float(w_kin[inner] @ kin[inner] + w_pot[inner] @ pot[inner]),
             float(w_pot[outer] @ pot[outer]),
             float(w_kin[mid] @ kin[mid] + w_pot[mid] @ pot[mid]) + bilap)
+
+
+@pytest.mark.parametrize("R", [0.3, 5.0, 9.9])
+def test_weight_nodes_match_branch_formulas(R):
+    """The weight and its node vectors are, byte for byte, its three branches written
+    out: r^2 on the ball, R^2 q((r - R)/R) on the annulus and 3Rr outside, with q the
+    patch of the module docstring.  R = 9.9 leaves the 16-wide grid no exterior."""
+    polyval = np.polynomial.polynomial.polyval
+    grid = RadialGrid(16.0, 255)
+    r, q = grid.nodes, grid.weights
+    s = (r - R) / R
+    ball, outside = r <= R, r > 2 * R
+
+    def branches(inner, mid, outer):
+        return np.where(ball, inner, np.where(outside, outer, mid))
+
+    a = branches(r**2, R**2 * polyval(s, [1, 2, 1, 0, 80, -193, 161, -46]), 3 * R * r)
+    a_r = branches(2 * r, R * polyval(s, [2, 2, 0, 320, -965, 966, -322]), 3 * R)
+    a_rr = branches(2.0, polyval(s, [2, 0, 960, -3860, 4830, -1932]), 0.0)
+    a_rrr = branches(0.0, polyval(s, [0, 1920, -11580, 19320, -9660]) / R, 0.0)
+    delta_a = a_rr + 2.0 * a_r / r
+    delta_a_prime = a_rrr + 2.0 * a_rr / r - 2.0 * a_r / r**2
+    w = weight_build(R)
+    assert w.a(r).tobytes() == a.tobytes()
+    nodes = w.on_grid(grid)
+    lo, hi = nodes.lo, nodes.hi
+    assert (lo, hi) == (np.count_nonzero(ball), grid.n - np.count_nonzero(outside))
+    assert nodes.weighted_a_r2.tobytes() == (q * (2.0 * a_r)).tobytes()
+    assert nodes.weighted_a_rr4.tobytes() == (q[:hi] * (4.0 * a_rr[:hi])).tobytes()
+    assert nodes.weighted_delta_a.tobytes() == (q * delta_a).tobytes()
+    assert nodes.weighted_delta_a_prime.tobytes() == (q[lo:hi] * delta_a_prime[lo:hi]).tobytes()
 
 
 @pytest.mark.parametrize("R_in_dr", [0.3, 0.45, 0.6, 1.0, 1.5, 2.2, 30.0, 63.7, 64.0, 100.0])
@@ -390,8 +422,8 @@ def test_cubic_point_matches_cubic_resample():
     u = random_smooth_field(grid, np.random.default_rng(41))
     for radius in (0.3 * grid.dr, grid.dr, 2.5 * grid.dr, 7.77, 16.0 - 0.5 * grid.dr,
                    16.0, 17.0):
-        want = abs(cubic_resample(u, np.array([radius]))[0])
-        assert abs(CubicPoint.at(grid, radius)(u.values)) == want
+        want = cubic_resample(u, np.array([radius]))[0]
+        assert CubicPoint.at(grid, radius)(u.values) == want
 
 
 @pytest.mark.parametrize("seed,R", [(50, 8.0), (51, 5.0), (52, 0.01)])
