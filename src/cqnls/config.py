@@ -141,6 +141,9 @@ def _coerce_field(raw, default, key: str, where: str):
 
 
 def _build_section(cls, mapping: dict, where: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"section [{where}] must be an object of keys, "
+                          f"not {type(mapping).__name__}")
     kwargs = {}
     defaults = cls()
     known = {f.name for f in fields(cls)}
@@ -155,6 +158,9 @@ def _build_section(cls, mapping: dict, where: str):
 
 
 def from_dict(d: dict) -> ExperimentConfig:
+    if not isinstance(d, dict):
+        raise ConfigError(f"the config's top level must be an object of sections, "
+                          f"not {type(d).__name__}")
     d = dict(d)
     kwargs = {}
     for name in _TOP_LEVEL:
@@ -162,7 +168,7 @@ def from_dict(d: dict) -> ExperimentConfig:
             kwargs[name] = _coerce_field(d.pop(name), getattr(ExperimentConfig(), name), name, "run")
     for sec, cls in _SECTIONS.items():
         if sec in d:
-            kwargs[sec] = _build_section(cls, d.pop(sec) or {}, sec)
+            kwargs[sec] = _build_section(cls, d.pop(sec), sec)
     if d:
         raise ConfigError(f"unknown config sections: {sorted(d)}")
     return ExperimentConfig(**kwargs)

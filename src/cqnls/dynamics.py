@@ -9,8 +9,13 @@ diagnostic is taken.
 The exact nonlinear flow keeps |u| fixed, so one phase factor per step,
 q = exp(-i (dt/2)(|y|^2 - |y|^4)) taken from the state y after the free
 flow, serves twice: y*q is the recorded state that closes the step, and
-y*q*q starts the free flow of the next one.  A step thus takes one exp, one
-forward and one inverse sine transform.
+y*q*q starts the free flow of the next one.  A step thus takes one cos and
+one sin of the real phase where it is not below roundoff, written into the
+factor (bitwise the complex exp; see ``_phase_factor``), and one forward and
+one inverse sine transform.  Its products and quotients take the nodes (cast
+once per grid on the ``SpectralPlan``) and the sponge multiplier as
+complex128, so numpy casts no real operand per step; the cast is exact and
+the bytes are unchanged.
 The sponge, when on, damps y before q is taken, so q is exact for the
 damped modulus too.
 
@@ -48,6 +53,7 @@ UNDECIDED = "Undecided"
 _TAIL_FRACTION_LIMIT = 0.1  # spectral-tail kinetic share that flags underresolution
 _BLOWUP_GRADIENT_FACTOR = 10.0  # kinetic growth over its initial value that arms the detector
 _SPONGE_STRENGTH = 5.0  # peak absorption rate of the sponge, at r = r_max
+_TINY_PHASE = 2.0**-27  # below it, cos and sin of a phase round to 1 and the phase
 
 
 @dataclass
@@ -110,9 +116,32 @@ class RunOutcome:
 
 
 def _phase_factor(v: NDArray, t: float) -> NDArray:
-    """exp(-i t (|v|^2 - |v|^4)): the nonlinear flow over time t, as a multiplier of v."""
+    """exp(-i t (|v|^2 - |v|^4)): the nonlinear flow over time t, as a multiplier of v.
+
+    Bitwise the complex exp of that argument, taken as one cos and one sin of
+    the real phase theta = (|v|^2 - |v|^4) * -t written into the factor.
+    Python's -1j * t is the scalar (+0.0, -t), so the complex argument is
+    (+0.0, theta + 0.0) and its exp is (cos, sin) of the imaginary part.  The
+    + 0.0 turns a -0.0 phase into the +0.0 that the complex product gives
+    (sin keeps the sign of zero); theta is -0.0 where |v|^2 - |v|^4 is +0.0,
+    as at |v| = 0 or 1, and where its product with -t underflows.
+
+    Below |theta| = 2^-27, cos theta rounds to 1 and sin theta to theta (the
+    next terms are under half an ulp), which is what glibc and any correctly
+    rounded libm return.  Such nodes, most of a grid whose field has
+    dispersed or decayed to roundoff, get (1, theta) without a libm call.
+    A NaN phase is not below the bound and goes through cos and sin.
+    """
     a2 = np.abs(v) ** 2
-    return np.exp(-1j * t * (a2 - a2 * a2))
+    theta = (a2 - a2 * a2) * -t
+    theta += 0.0
+    q = np.empty(theta.shape, dtype=np.complex128)
+    q.real = 1.0
+    q.imag = theta
+    live = np.nonzero(~(np.abs(theta) < _TINY_PHASE))
+    q.real[live] = np.cos(theta[live])
+    q.imag[live] = np.sin(theta[live])
+    return q
 
 
 def _step(plan: SpectralPlan, free: NDArray, v: NDArray, q: NDArray, dt: float,
@@ -123,7 +152,7 @@ def _step(plan: SpectralPlan, free: NDArray, v: NDArray, q: NDArray, dt: float,
     after the free flow, the stepped state and its half-step factor, which
     opens the next step.
     """
-    r = plan.grid.nodes
+    r = plan.complex_nodes  # complex, so numpy runs its complex loop without a cast
     coef = free * plan.forward(r * (v * q))
     y = plan.inverse(coef) / r
     if damp is not None:
@@ -171,7 +200,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     dt = cfg.dt
     n_steps = round(cfg.t_end / dt)
     free = np.exp(-1j * plan.eigenvalues * dt)
-    sponge_mult = np.exp(-dt * _sponge_profile(grid)) if cfg.sponge else None
+    sponge_mult = np.exp(-dt * _sponge_profile(grid)).astype(complex) if cfg.sponge else None
     tail_mask = np.arange(1, grid.n + 1) > (2 * grid.n) // 3
 
     weight = weight_build(cfg.morawetz_radius) if cfg.morawetz_radius is not None else None

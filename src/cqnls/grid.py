@@ -116,10 +116,13 @@ class SpectralPlan:
 
     grid: RadialGrid
     eigenvalues: NDArray[np.float64] = field(init=False)
+    # the nodes cast to complex once, for products and quotients with complex fields
+    complex_nodes: NDArray[np.complex128] = field(init=False)
 
     def __post_init__(self):
         k = np.arange(1, self.grid.n + 1)
         self.eigenvalues = (k * np.pi / self.grid.r_max) ** 2
+        self.complex_nodes = self.grid.nodes.astype(np.complex128)
 
     _cache: ClassVar[dict] = {}
 

@@ -103,6 +103,23 @@ def test_bad_json_reports_location(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("[1, 2]", "top level"),
+    ('"thresholds"', "top level"),
+    ('{"grid": [1, 2]}', r"section \[grid\]"),
+    ('{"stepper": null}', r"section \[stepper\]"),
+    ('{"sweep": 3}', r"section \[sweep\]"),
+])
+def test_json_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, text, where):
+    cfgfile = tmp_path / "a.json"
+    cfgfile.write_text(text)
+    with pytest.raises(ConfigError, match=where):
+        load_config(cfgfile)
+    assert main(["thresholds", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+
+
 def test_snapshot_roundtrip(tmp_path, grid64):
     u = gaussian(grid64, amplitude=0.7)
     u.values *= np.exp(0.2j * grid64.nodes**2)

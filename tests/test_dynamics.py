@@ -53,6 +53,43 @@ def test_nonlinear_phase_explicit_value(grid64):
     assert out[5] == pytest.approx(2.0 * np.exp(1.2j), rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [2.5e-5, 1e-3, 0.05, 0.37])
+def test_phase_factor_is_the_complex_exp_bitwise(t):
+    """cos and sin of the real phase, written into the factor, are the bytes of the
+    complex exp: on exact and signed zeros, where |v|^2 is subnormal, at |v| = 1,
+    for phases on both sides of the bound below which no libm call is made, and up
+    to |v| = 30.  A platform whose sin/cos differ from its complex exp fails here."""
+    rng = np.random.default_rng(5)
+    # |v|^2 - |v|^4 = 2^-27 / t puts the phase at the bound
+    at_bound = np.sqrt(2.0**-27 / t) * np.array([1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-12])
+    v = np.concatenate([
+        [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, -1.0, 1j],
+        1e-160 * (rng.standard_normal(64) + 1j * rng.standard_normal(64)),
+        np.exp(2j * np.pi * rng.random(64)),  # |v| = 1 up to rounding
+        at_bound, -at_bound,
+        10.0 ** rng.uniform(-12.0, 0.0, 4096),
+        rng.uniform(0.0, 30.0, 4096) * np.exp(2j * np.pi * rng.random(4096)),
+    ])
+    a2 = np.abs(v) ** 2
+    assert _phase_factor(v, t).tobytes() == np.exp(-1j * t * (a2 - a2 * a2)).tobytes()
+
+
+def test_complex_nodes_multiply_and_divide_as_the_real_nodes():
+    """The step's products and quotients with the complex nodes are bitwise those
+    with the real nodes, signed zeros included."""
+    grid = RadialGrid(16.0, 255)
+    r = SpectralPlan.for_grid(grid).complex_nodes
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    z[::7] = complex(-0.0, 0.0)
+    z[1::7] = complex(0.0, -0.0)
+    z[2::7] = complex(-0.0, -0.0)
+    z[3::7] = 0.0
+    assert r.dtype == np.complex128 and r.real.tobytes() == grid.nodes.tobytes()
+    assert (r * z).tobytes() == (grid.nodes * z).tobytes()
+    assert (z / r).tobytes() == (z / grid.nodes).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(dt=st.floats(1e-5, 0.5), amp=st.floats(0.1, 3.0))
 def test_nonlinear_phase_preserves_modulus(dt, amp):
