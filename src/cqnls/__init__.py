@@ -14,7 +14,6 @@ from .grid import (
 )
 from .functionals import (
     FunctionalReport,
-    apply_cutoff,
     cutoff_identity_residual,
     local_l6,
     report,
@@ -24,8 +23,6 @@ from .variational import (
     Classification,
     Thresholds,
     classify,
-    coercive_on_ball,
-    coercivity_gap,
     cubic_barrier,
     ground_state,
     scale_f12,

@@ -168,14 +168,17 @@ class SweepResult:
 
 
 def run_dichotomy(cfg: ExperimentConfig, out: Path) -> dict:
+    if cfg.initial.family != "gaussian":
+        raise ConfigError(f"dichotomy-sweep sweeps gaussian amplitudes at the [initial] width; "
+                          f"family {cfg.initial.family!r} cannot be swept")
     sw = cfg.sweep
     amps = np.arange(sw.amplitude_start, sw.amplitude_stop + sw.amplitude_step / 2,
                      sw.amplitude_step)
     # sweeps keep the scalar series of the nonlinear flow only
     stepper = replace(cfg.stepper, snapshot_stride=10**9,
                       morawetz_radius=None, flux_radius=None)
-    width = cfg.initial.width if cfg.initial.family == "gaussian" else 1.0
-    points = [(cfg.grid, stepper, InitialData(family="gaussian", amplitude=float(a), width=width))
+    points = [(cfg.grid, stepper,
+               InitialData(family="gaussian", amplitude=float(a), width=cfg.initial.width))
               for a in amps]
     if sw.include_bubble:
         points.append((_BUBBLE_GRID, replace(stepper, sponge=False, **_BUBBLE_STEPPER), _BUBBLE))

@@ -113,17 +113,12 @@ def chi_derivatives(s: NDArray) -> tuple[NDArray, NDArray]:
 
 def chi_profile(grid: RadialGrid, R: float) -> tuple[NDArray, NDArray, NDArray]:
     """chi_R(r) = chi(r/R), chi_R' and Lap chi_R = chi_R'' + 2 chi_R'/r on the grid nodes."""
+    if not R > 0:
+        raise ContractError("cutoff radius must be positive")
     s = grid.nodes / R
     d1, d2 = chi_derivatives(s)
     chi_r = d1 / R
     return chi(s), chi_r, d2 / R**2 + 2.0 * chi_r / grid.nodes
-
-
-def apply_cutoff(u: RadialField, R: float) -> RadialField:
-    """Pointwise product chi(r/R) * u."""
-    if not R > 0:
-        raise ContractError("cutoff radius must be positive")
-    return RadialField(u.grid, chi(u.grid.nodes / R) * u.values)
 
 
 def cutoff_identity_residual(u: RadialField, R: float) -> float:
@@ -156,7 +151,7 @@ def spacetime_norm(traj, q: float, r: float) -> float:
     """Discrete L^q_t L^r_x norm over a trajectory's snapshots.
 
     Trapezoid in time of the spatial norm to the q-th power (max over
-    snapshots when q = inf).  Snapshots must be equally spaced in time.
+    snapshots when q = inf), at the snapshots' own times.
     """
     if not (1 <= q) or not (1 <= r):
         raise ContractError("exponents must lie in [1, inf]")

@@ -289,17 +289,20 @@ def _cubic_taps(grid: RadialGrid, radii: NDArray):
     x = radii / grid.dr
     b = np.clip(np.floor(x).astype(np.int64), 0, grid.n)
     t = x - b
+    tp1, tm1, tm2 = t + 1, t - 1, t - 2
     coef = (
-        -t * (t - 1) * (t - 2) / 6,
-        (t + 1) * (t - 1) * (t - 2) / 2,
-        -(t + 1) * t * (t - 2) / 2,
-        (t + 1) * t * (t - 1) / 6,
+        -t * tm1 * tm2 / 6,
+        tp1 * tm1 * tm2 / 2,
+        -tp1 * t * tm2 / 2,
+        tp1 * t * tm1 / 6,
     )
-    j = b + np.arange(-1, 3)[:, None]
-    on_grid = (j >= 1) & (j <= grid.n)
-    index = np.where(on_grid, j - 1, np.where(j < 0, -j - 1, 0))
-    sign = np.where(on_grid & (radii <= grid.r_max), 1.0, np.where(j < 0, -1.0, 0.0))
-    return index, sign * grid.nodes[index], coef
+    index = b + np.arange(-2, 2)[:, None]  # tap j = b-1 .. b+2 reads node j-1
+    off = (index < 0) | (index >= grid.n)
+    index[off] = 0  # a tap off the lattice reads node 0
+    scale = grid.nodes[index]
+    scale[off | ~(radii <= grid.r_max)] = 0.0
+    scale[0, b == 0] = -grid.nodes[0]  # the mirrored tap j = -1
+    return index, scale, coef
 
 
 def _cubic_sum(values: NDArray, index: NDArray, scale: NDArray, coef: tuple):

@@ -1,4 +1,4 @@
-"""Ground-state bubble, sharp thresholds, K+/K- classification and coercivity.
+"""Ground-state bubble, sharp thresholds, K+/K- classification, scalings, cubic barrier.
 
 The static bubble W(r) = (1 + r^2/3)^(-1/2) solves -Lap W = W^5 and
 saturates the sharp Sobolev inequality l6 <= C3 * kinetic^3.  Its kinetic
@@ -28,11 +28,9 @@ from .functionals import (
     GROUND_STATE_L6,
     SHARP_SOBOLEV_C3,
     FunctionalReport,
-    apply_cutoff,
-    chi_profile,
     report,
 )
-from .grid import RadialField, RadialGrid, cubic_resample, integrate_ball
+from .grid import RadialField, RadialGrid, cubic_resample
 
 K_PLUS = "KPlus"
 K_MINUS = "KMinus"
@@ -162,57 +160,7 @@ def scale_f12(u: RadialField, lam: float) -> RadialField:
 
 
 # ---------------------------------------------------------------------------
-# coercivity
-
-def coercivity_gap(u: RadialField) -> float:
-    """kinetic - l6; nonnegative with margin for fields well below the bubble."""
-    rep = report(u)
-    return rep.kinetic - rep.l6
-
-
-@dataclass
-class BallCoercivity:
-    passes: bool
-    gap: float
-
-
-def coercive_on_ball(
-    u: RadialField, R: float, th: Thresholds, delta: float | None = None
-) -> BallCoercivity:
-    """Kinetic/sextic gap of the cutoff field chi_R * u.
-
-    passes iff kinetic(chi_R u) <= (1 - delta) * grad_w_sq.  When delta is
-    not given it defaults to half the field's own relative gradient margin,
-    i.e. the largest delta with kinetic(u) <= (1 - 2*delta) * grad_w_sq.
-    """
-    if delta is None:
-        delta = 0.5 * (1.0 - report(u).kinetic / th.grad_w_sq)
-    loc = apply_cutoff(u, R)
-    rep = report(loc)
-    return BallCoercivity(passes=rep.kinetic <= (1.0 - delta) * th.grad_w_sq,
-                          gap=rep.kinetic - rep.l6)
-
-
-def coercive_radius(
-    u: RadialField, th: Thresholds, delta: float, r_start: float = 4.0
-) -> float:
-    """Smallest scanned radius where the cutoff correction term is negligible.
-
-    Scans R upward (geometrically) until |int chi_R Lap(chi_R) |u|^2| falls
-    below delta * grad_w_sq / 2, so that localization cannot push the kinetic
-    norm past the (1 - delta) ceiling.
-    """
-    grid = u.grid
-    a2 = np.abs(u.values) ** 2
-    R = r_start
-    while R <= grid.r_max:
-        ch, _, lap_chi = chi_profile(grid, R)
-        corr = abs(integrate_ball(grid, ch * lap_chi * a2))
-        if corr < delta * th.grad_w_sq / 2:
-            return R
-        R *= 1.3
-    raise AccuracyError("no coercive radius found within the domain")
-
+# energy trapping
 
 def cubic_barrier(y0: float, delta0: float) -> float:
     """Continuity-argument ceiling for y(t) = kinetic(t)/grad_w_sq.
@@ -244,7 +192,6 @@ def cubic_barrier(y0: float, delta0: float) -> float:
 __all__ = [
     "ABOVE_THRESHOLD",
     "BUBBLE_THRESHOLDS",
-    "BallCoercivity",
     "Classification",
     "GROUND_STATE_ENERGY_C",
     "GROUND_STATE_KINETIC",
@@ -254,10 +201,7 @@ __all__ = [
     "SHARP_SOBOLEV_C3",
     "Thresholds",
     "classify",
-    "coercive_on_ball",
-    "coercive_radius",
     "bubble",
-    "coercivity_gap",
     "cubic_barrier",
     "ground_state",
     "scale_f12",

@@ -439,6 +439,21 @@ def test_sweep_bubble_row_needs_no_amplitude_scan(tmp_path, monkeypatch):
     assert rows[-1] == ",".join(str(expected[c]) for c in experiments.SweepResult.CSV_COLUMNS)
 
 
+@pytest.mark.parametrize("family", ["bubble", "gaussian-mix", "file"])
+def test_dichotomy_sweep_of_non_gaussian_family_is_a_config_error(tmp_path, capsys, family):
+    """The sweep steps gaussians only; another [initial] family exits 1 instead of
+    being swept as width-1 gaussians."""
+    cfgfile = tmp_path / "sw.ini"
+    cfgfile.write_text("[run]\nexperiment = dichotomy-sweep\n\n[grid]\nr_max = 64.0\nn = 1023\n\n"
+                       f"[initial]\nfamily = {family}\n\n[stepper]\ndt = 4e-3\nt_end = 0.04\n")
+    out = tmp_path / "o"
+    assert main(["dichotomy-sweep", "--config", str(cfgfile), "--out", str(out)]) == 1
+    error = out / "dichotomy-sweep" / "error.txt"
+    assert str(error) in capsys.readouterr().out
+    assert f"family {family!r} cannot be swept" in error.read_text()
+    assert not (out / "dichotomy-sweep" / "sweep.csv").exists()
+
+
 def test_sweep_workers_deterministic(tmp_path):
     from cqnls.config import SweepSpec
     from cqnls.dynamics import StepperConfig

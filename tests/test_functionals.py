@@ -9,7 +9,6 @@ from cqnls.errors import ContractError
 from cqnls.functionals import (
     GROUND_STATE_KINETIC,
     SHARP_SOBOLEV_C3,
-    apply_cutoff,
     chi,
     chi_derivatives,
     chi_profile,
@@ -117,27 +116,31 @@ def test_local_l6_monotone(grid64):
     assert np.all(np.diff(vals) >= -1e-12 * max(vals))
 
 
-def test_cutoff_plateau_and_support(grid64):
-    ones = RadialField(grid64, np.ones(grid64.n))
-    cut = apply_cutoff(ones, 4.0)
-    at = lambda r: cut.values[np.argmin(np.abs(grid64.nodes - r))]
-    assert at(1.9) == 1.0
-    assert at(4.1) == 0.0
-    assert at(0.5) == 1.0
+def test_cutoff_plateau_and_support():
+    """chi = 1 on s <= 1/2 and 0 on s >= 1, decreasing strictly in between."""
+    s = np.linspace(0.0, 2.0, 4001)
+    ch = chi(s)
+    assert np.all(ch[s <= 0.5] == 1.0)
+    assert np.all(ch[s >= 1.0] == 0.0)
+    ramp = ch[(s > 0.5) & (s < 1.0)]
+    assert np.all((ramp > 0.0) & (ramp < 1.0))
+    assert np.all(np.diff(ramp) < 0)
 
 
 def test_cutoff_identity_wide_radius(grid64):
     u = gaussian(grid64)
-    cut = apply_cutoff(u, 2 * grid64.r_max)
-    assert np.array_equal(cut.values, u.values)
+    cut = chi(grid64.nodes / (2 * grid64.r_max)) * u.values
+    assert np.array_equal(cut, u.values)
 
 
 def test_cutoff_mass_contracts(grid64):
+    """0 <= chi <= 1, so the cut-off field chi(r/R) u holds no more mass than u."""
     rng = np.random.default_rng(6)
     for _ in range(10):
         u = random_smooth_field(grid64, rng)
-        cut = apply_cutoff(u, rng.uniform(2, 30))
-        assert integrate_ball(grid64, np.abs(cut.values) ** 2) <= integrate_ball(
+        ch = chi(grid64.nodes / rng.uniform(2, 30))
+        assert np.all((ch >= 0.0) & (ch <= 1.0))
+        assert integrate_ball(grid64, np.abs(ch * u.values) ** 2) <= integrate_ball(
             grid64, np.abs(u.values) ** 2
         ) * (1 + 1e-14)
 
@@ -146,7 +149,9 @@ def test_cutoff_refuses_nonpositive_radius(grid64):
     u = gaussian(grid64)
     for R in (0.0, -1.0, float("nan")):
         with pytest.raises(ContractError):
-            apply_cutoff(u, R)
+            chi_profile(grid64, R)
+        with pytest.raises(ContractError):
+            cutoff_identity_residual(u, R)
 
 
 def test_cutoff_identity_residual(grid64):

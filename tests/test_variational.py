@@ -1,4 +1,4 @@
-"""Ground-state bubble, thresholds, classification, scalings, coercivity."""
+"""Ground-state bubble, thresholds, classification, scalings, cubic barrier."""
 
 import numpy as np
 import pytest
@@ -15,9 +15,6 @@ from cqnls.variational import (
     K_PLUS,
     bubble,
     classify,
-    coercive_on_ball,
-    coercive_radius,
-    coercivity_gap,
     cubic_barrier,
     ground_state,
     scale_f12,
@@ -25,7 +22,7 @@ from cqnls.variational import (
     thresholds,
 )
 
-from conftest import gaussian, random_smooth_field, sample_below_threshold
+from conftest import gaussian, sample_below_threshold
 
 
 @pytest.fixture(scope="module")
@@ -196,51 +193,6 @@ def test_scale_f12_energy_monotone(fine_grid):
         e0 = report(u).energy
         for lam in (0.25, 0.5, 1.0):
             assert report(scale_f12(u, lam)).energy <= e0 + 1e-10 * abs(e0)
-
-
-def test_coercivity_gap_rescaled_fields(grid64, th1024):
-    """kinetic = (1 - delta1) grad_w_sq forces gap >= (1-(1-delta1)^2) kinetic."""
-    rng = np.random.default_rng(14)
-    target = 0.5 * th1024.grad_w_sq
-    for _ in range(100):
-        u = random_smooth_field(grid64, rng)
-        rep = report(u)
-        if rep.kinetic == 0:
-            continue
-        c = np.sqrt(target / rep.kinetic)
-        v = RadialField(grid64, c * u.values)
-        gap = coercivity_gap(v)
-        assert gap >= 0.75 * target * (1 - 1e-9)
-
-
-def test_coercivity_gap_zero_and_bubble(grid64, grid_bubble):
-    assert coercivity_gap(RadialField(grid64, np.zeros(grid64.n))) == 0.0
-    w = ground_state(grid_bubble)
-    assert abs(coercivity_gap(w)) <= 2e-2
-
-
-def test_coercive_on_ball(grid128, th1024):
-    zero = RadialField(grid128, np.zeros(grid128.n))
-    res = coercive_on_ball(zero, 8.0, th1024)
-    assert res.passes and res.gap == 0.0
-
-    u = gaussian(grid128, amplitude=0.5)  # kinetic ~ 1.48, far below the bubble
-    delta = 0.4
-    R = coercive_radius(u, th1024, delta)
-    res = coercive_on_ball(u, R, th1024, delta=delta)
-    assert res.passes
-    assert res.gap > 0
-
-
-def test_coercive_on_ball_fails_for_concentration(th1024):
-    from cqnls.config import InitialData
-    from cqnls.experiments import build_initial, find_kminus_amplitude
-
-    grid = RadialGrid(64.0, 2**14 - 1)
-    a = find_kminus_amplitude(grid, th1024)
-    u = build_initial(grid, InitialData(family="bubble", amplitude=a, scale=16.0, cutoff=10.0))
-    res = coercive_on_ball(u, 1.0, th1024, delta=0.1)
-    assert not res.passes
 
 
 def test_cubic_barrier_values():
