@@ -17,7 +17,6 @@ from .functionals import (
     cutoff_identity_residual,
     local_l6,
     report,
-    spacetime_norm,
 )
 from .variational import (
     Classification,

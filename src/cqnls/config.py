@@ -56,6 +56,11 @@ class InitialData:
             raise ConfigError(f"unknown initial-data family {self.family!r}")
         self.amplitudes = tuple(self.amplitudes)
         self.widths = tuple(self.widths)
+        # a zero or negative size builds a zero field or an uncut bubble
+        for name, value in (("width", self.width), ("scale", self.scale),
+                            ("cutoff", self.cutoff), *(("widths", w) for w in self.widths)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass

@@ -90,11 +90,12 @@ class StepperConfig:
 
 @dataclass
 class Trajectory:
-    """Strided snapshots plus per-step scalar series."""
+    """Strided snapshots plus per-step scalar series, and the config that
+    ``evolve`` stepped with."""
 
     times: NDArray
     series: dict[str, NDArray]
-    series_meta: dict
+    stepper: StepperConfig
     snapshots: list[RadialField]
     snapshot_times: NDArray
 
@@ -279,9 +280,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         snapshots.append(RadialField(grid, v.copy()))
         snap_times.append(times[-1])
 
-    meta = {"l6_local_radius": cfg.evacuation_radius, "morawetz_radius": cfg.morawetz_radius,
-            "flux_radius": cfg.flux_radius, "dt": dt}
-    traj = Trajectory(times, series, meta, snapshots, np.array(snap_times))
+    traj = Trajectory(times, series, cfg, snapshots, np.array(snap_times))
 
     late = times >= times[-1] - 0.2 * (times[-1] - times[0]) if times[-1] > 0 else slice(None)
     min_late_l6 = float(np.min(series["l6_local"][late]))
@@ -311,6 +310,6 @@ def flux_identity_residual(traj, R: float) -> float:
     Uses the per-step series recorded by evolve (flux_radius must match R).
     Returns max over interior steps of |fd - rhs| / (1 + |rhs|).
     """
-    if traj.series_meta.get("flux_radius") != R:
+    if traj.stepper.flux_radius != R:
         raise ContractError("trajectory was recorded with a different flux radius")
     return centred_residual(traj.times, traj.series["flux_chi_l6"], traj.series["flux_rhs"])

@@ -1,4 +1,4 @@
-"""Scalar functionals of a radial field, cutoffs, and space-time norms.
+"""Scalar functionals of a radial field and the plateau cutoff.
 
 Conventions (all integrals over the ball, measure 4*pi*r^2 dr):
 
@@ -136,32 +136,3 @@ def cutoff_identity_residual(u: RadialField, R: float) -> float:
     )
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
-
-# ---------------------------------------------------------------------------
-# discrete space-time norms
-
-def spatial_norm(u: RadialField, r: float) -> float:
-    """L^r norm over the ball; r = inf gives the sup over nodes."""
-    if math.isinf(r):
-        return float(np.max(np.abs(u.values)))
-    return integrate_ball(u.grid, np.abs(u.values) ** r) ** (1.0 / r)
-
-
-def spacetime_norm(traj, q: float, r: float) -> float:
-    """Discrete L^q_t L^r_x norm over a trajectory's snapshots.
-
-    Trapezoid in time of the spatial norm to the q-th power (max over
-    snapshots when q = inf), at the snapshots' own times.
-    """
-    if not (1 <= q) or not (1 <= r):
-        raise ContractError("exponents must lie in [1, inf]")
-    times = np.asarray(traj.snapshot_times, dtype=float)
-    snaps = traj.snapshots
-    if len(snaps) == 0:
-        raise ContractError("empty trajectory")
-    vals = np.array([spatial_norm(s, r) for s in snaps])
-    if math.isinf(q):
-        return float(np.max(vals))
-    if len(snaps) == 1:
-        return 0.0
-    return float(np.trapezoid(vals**q, times) ** (1.0 / q))

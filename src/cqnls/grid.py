@@ -319,9 +319,11 @@ def cubic_resample(u: RadialField, radii: NDArray) -> NDArray:
     exactly, w(-r_j) = -w(r_j)), then divides by the query radius.  Queries
     beyond r_max return 0 (zero extension).
     """
-    vals = _cubic_sum(u.values, *_cubic_taps(u.grid, radii))
-    safe_r = np.where(radii > 0, radii, 1.0)
-    return np.where(radii <= u.grid.r_max, vals / safe_r, 0.0)
+    inside = radii <= u.grid.r_max  # taps and sums are built for these radii only
+    r = radii[inside]
+    out = np.zeros(radii.shape, dtype=np.result_type(u.values, float))
+    out[inside] = _cubic_sum(u.values, *_cubic_taps(u.grid, r)) / np.where(r > 0, r, 1.0)
+    return out
 
 
 @dataclass(frozen=True)

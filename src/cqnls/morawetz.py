@@ -27,7 +27,6 @@ data and is hard-wired to zero.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,13 +262,11 @@ def identity_residual(traj, w: MorawetzWeight) -> float:
 
     |centered-difference dM/dt - (main + err1 + err2)| / (1 + |rate|).
     """
-    ms = series_from_trajectory(traj)
-    if traj.series_meta.get("morawetz_radius") != w.R:
+    if traj.stepper.morawetz_radius != w.R:
         raise ContractError("trajectory was recorded with a different weight radius")
-    dt = np.diff(ms.times)
-    if dt.size >= 2 and np.max(dt) > 1.5 * np.min(dt):
-        warnings.warn("unevenly spaced series; residual accuracy degraded")
-    return centred_residual(ms.times, ms.m_values, ms.rate_main + ms.rate_err1 + ms.rate_err2)
+    s = traj.series
+    rate = s["morawetz_main"] + s["morawetz_err1"] + s["morawetz_err2"]
+    return centred_residual(traj.times, s["morawetz_m"], rate)
 
 
 def centred_residual(times: NDArray, values: NDArray, rate: NDArray) -> float:
@@ -287,7 +284,7 @@ def averaged_local_l6(traj, R: float) -> float:
     Uses the per-step l6_local series recorded by evolve (evacuation_radius
     must match R).
     """
-    if traj.series_meta.get("l6_local_radius") != R:
+    if traj.stepper.evacuation_radius != R:
         raise ContractError("trajectory was recorded with a different local L^6 radius")
     times, vals = traj.times, traj.series["l6_local"]
     T = times[-1] - times[0]

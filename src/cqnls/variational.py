@@ -168,20 +168,14 @@ def cubic_barrier(y0: float, delta0: float) -> float:
     Returns the smallest positive root of (3/2) y - (1/2) y^3 = 1 - delta0.
     The cubic increases from 0 to 1 on [0, 1], so the root exists and is
     unique there; the hypothesis of the argument requires y0 below it.
+    With y = 2 sin(theta) the cubic is sin(3 theta), so the root is
+    2 sin(arcsin(1 - delta0) / 3).
     """
     if not (0 < delta0 < 1):
         raise ContractError("delta0 must lie in (0, 1)")
     if not (0 <= y0 < 1):
         raise ContractError("y0 must lie in [0, 1)")
-    target = 1.0 - delta0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 1.5 * mid - 0.5 * mid**3 < target:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = 2.0 * math.sin(math.asin(1.0 - delta0) / 3.0)
     if y0 >= root:
         raise ContractError(
             f"hypothesis violated: y0 = {y0:.6f} is not below the barrier {root:.6f}"

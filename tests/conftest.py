@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,11 +42,11 @@ def gaussian(grid, amplitude=1.0, width=1.0):
 def trajectory_head(traj, steps):
     """The first ``steps`` steps of traj: its times and series up to record
     ``steps`` and the snapshots taken by then.  A sponge-on evolve to
-    steps * dt records exactly this head of a longer run."""
+    steps * dt records exactly this head of a longer run, with its t_end."""
     times = traj.times[: steps + 1]
     snaps = traj.snapshot_times <= times[-1]
     return Trajectory(times=times, series={k: v[: steps + 1] for k, v in traj.series.items()},
-                      series_meta=traj.series_meta,
+                      stepper=replace(traj.stepper, t_end=float(times[-1])),
                       snapshots=[s for s, keep in zip(traj.snapshots, snaps) if keep],
                       snapshot_times=traj.snapshot_times[snaps])
 

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-The per-criterion lines also accumulate in acceptance_report.txt at the repo
-root (pytest captures stdout); `pytest -v` shows the same verdicts through
-test outcomes. Heavy runs are shared through session fixtures.
+The per-criterion lines also go to acceptance_report.txt at the repo root
+(pytest captures stdout), in run order, once every test of this module has
+written its line; a partial run leaves the file as it was. `pytest -v` shows
+the same verdicts through test outcomes. Heavy runs are shared through
+session fixtures.
 """
 
 from pathlib import Path
@@ -31,17 +33,21 @@ ROOT = Path(__file__).resolve().parent.parent
 REPORT = ROOT / "acceptance_report.txt"
 
 
+_LINES: list[str] = []  # this run's report lines, in run order
+
+
 @pytest.fixture(scope="module", autouse=True)
-def _fresh_report():
-    REPORT.unlink(missing_ok=True)
+def _report():
+    _LINES.clear()
     yield
+    if len(_LINES) == sum(name.startswith("test_") for name in globals()):
+        REPORT.write_text("".join(_LINES))
 
 
 def _line(num, name, ok, detail):
     line = f"[criterion {num:2d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
-    with REPORT.open("a") as fh:
-        fh.write(line + "\n")
+    _LINES.append(line + "\n")
     assert ok, f"criterion {num} {name}: {detail}"
 
 

@@ -14,7 +14,8 @@ from cqnls.config import (ExperimentConfig, GridSpec, InitialData, SweepSpec, fr
                           load_config)
 from cqnls.dynamics import StepperConfig
 from cqnls.errors import ConfigError, ContractError
-from cqnls.grid import RadialGrid
+from cqnls.experiments import build_initial, free_decay_study
+from cqnls.grid import RadialGrid, free_propagate
 from cqnls.storage import read_snapshot, write_snapshot
 
 from conftest import gaussian
@@ -320,6 +321,48 @@ def test_free_decay_zero_data(tmp_path):
     got = json.loads((out / "free-decay" / "free_decay.json").read_text())
     assert got["degenerate"] is True
     assert all(v == 0.0 for v in got["norms"].values())
+
+
+def test_free_decay_equals_the_snapshot_formula(tmp_path):
+    """The study's exponent and norms are bitwise those of a fit over 37 separately
+    propagated times and of an L^4_t L^inf_x trapezoid over one snapshot per 0.25."""
+    cfg = ExperimentConfig(experiment="free-decay", grid=GridSpec(r_max=64.0, n=1023),
+                           initial=InitialData(amplitude=1.0))
+    got = free_decay_study(cfg, tmp_path)
+    u0 = build_initial(RadialGrid(64.0, 1023), cfg.initial)
+
+    fit_times = np.linspace(2.0, 20.0, 37)
+    sups = np.array([np.max(np.abs(free_propagate(u0, t).values)) for t in fit_times])
+    assert got["exponent"] == -float(np.polyfit(np.log(fit_times), np.log(sups), 1)[0])
+    t_grid = np.arange(0.0, 80.0 + 0.25 / 2, 0.25)
+    snaps = [free_propagate(u0, t) for t in t_grid]
+    for T in (10.0, 20.0, 40.0, 80.0):
+        sel = t_grid <= T + 1e-12
+        vals = np.array([np.max(np.abs(s.values)) for s, keep in zip(snaps, sel) if keep])
+        assert got["norms"][str(T)] == float(np.trapezoid(vals**4, t_grid[sel]) ** (1.0 / 4))
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("gaussian", "width", "0"),
+    ("gaussian", "width", "inf"),
+    ("gaussian-mix", "widths", "1.0, -2.0"),
+    ("bubble", "scale", "0"),
+    ("bubble", "cutoff", "-10"),
+    ("bubble", "cutoff", "nan"),
+])
+def test_non_positive_initial_sizes_are_config_errors(tmp_path, capsys, family, key, value):
+    """A zero or negative width, scale or cutoff builds a zero field or an uncut bubble:
+    the config fails to load, so `cqnls evolve` exits 1 with the field named."""
+    mix = "amplitudes = 0.5, 0.5\n" if family == "gaussian-mix" else ""
+    cfgfile = tmp_path / "ev.ini"
+    cfgfile.write_text(f"[grid]\nr_max = 16.0\nn = 255\n\n"
+                       f"[initial]\nfamily = {family}\n{mix}{key} = {value}\n\n"
+                       f"[stepper]\ndt = 1e-3\nt_end = 2e-3\n")
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be positive and finite" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_env_out_root(tmp_path, monkeypatch):

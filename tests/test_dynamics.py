@@ -362,9 +362,8 @@ def test_evolve_rejects_radius_beyond_domain(name, factor):
         with pytest.raises(ContractError):
             evolve(gaussian(grid, amplitude=0.3), cfg)
     else:
-        key = "l6_local_radius" if name == "evacuation_radius" else name
         traj, _ = evolve(gaussian(grid, amplitude=0.3), cfg)
-        assert traj.series_meta[key] == radius
+        assert traj.stepper is cfg and getattr(traj.stepper, name) == radius
 
 
 def test_gradient_trigger_records_detector_quantities(grid64, monkeypatch):

@@ -1,4 +1,4 @@
-"""Functional reports, cutoffs, radial embedding, space-time norms."""
+"""Functional reports, cutoffs and radial embedding."""
 
 import numpy as np
 import pytest
@@ -15,13 +15,11 @@ from cqnls.functionals import (
     cutoff_identity_residual,
     local_l6,
     report,
-    spacetime_norm,
 )
 from cqnls.grid import (
     FieldDerivative,
     RadialField,
     RadialGrid,
-    free_propagate,
     integrate_ball,
     radial_derivative,
 )
@@ -171,41 +169,6 @@ def test_radial_embedding_ratio(grid64):
         rep = report(u)
         h1 = np.sqrt(rep.mass + rep.kinetic)
         assert np.max(grid64.nodes * np.abs(u.values)) / h1 <= 0.3
-
-
-class _FakeTraj:
-    def __init__(self, times, snaps):
-        self.snapshot_times = np.asarray(times, dtype=float)
-        self.snapshots = snaps
-
-
-def test_spacetime_norm_constant(grid64):
-    u = gaussian(grid64)
-    T = 5.0
-    traj = _FakeTraj(np.linspace(0, T, 26), [u] * 26)
-    l4x = integrate_ball(grid64, np.abs(u.values) ** 4) ** 0.25
-    assert spacetime_norm(traj, 2, 4) == pytest.approx(T**0.5 * l4x, rel=1e-12)
-    assert spacetime_norm(traj, np.inf, 4) == pytest.approx(l4x, rel=1e-12)
-
-
-def test_spacetime_norm_zero_and_empty(grid64):
-    zero = RadialField(grid64, np.zeros(grid64.n))
-    traj = _FakeTraj([0.0, 1.0], [zero, zero])
-    assert spacetime_norm(traj, 4, np.inf) == 0.0
-    with pytest.raises(ContractError):
-        spacetime_norm(_FakeTraj([], []), 4, np.inf)
-
-
-def test_spacetime_norm_decays_with_window():
-    g = RadialGrid(256.0, 2**13 - 1)
-    u = gaussian(g)
-    windows = [(0.0, 10.0), (5.0, 15.0), (10.0, 20.0)]
-    vals = []
-    for t0, t1 in windows:
-        times = np.linspace(t0, t1, 21)
-        snaps = [free_propagate(u, t) for t in times]
-        vals.append(spacetime_norm(_FakeTraj(times, snaps), 4, np.inf))
-    assert vals[0] > vals[1] > vals[2]
 
 
 def test_report_with_shared_derivative(grid64):

@@ -220,7 +220,8 @@ def test_identity_requires_matching_weight(w8):
 def _l6_series_trajectory(u, times, R):
     """A trajectory holding u at every time, with its l6_local series recorded at R."""
     return Trajectory(times=times, series={"l6_local": np.full(len(times), local_l6(u, R))},
-                      series_meta={"l6_local_radius": R}, snapshots=[u], snapshot_times=times[:1])
+                      stepper=StepperConfig(evacuation_radius=R),
+                      snapshots=[u], snapshot_times=times[:1])
 
 
 def test_averaged_local_l6_time_constant(grid64):
@@ -295,10 +296,6 @@ def test_averaged_local_l6_refuses_other_radius(grid64):
     for R in (5.0, 5.999, 10.0):
         with pytest.raises(ContractError):
             averaged_local_l6(traj, R)
-    snapshots_only = Trajectory(times=traj.times, series={}, series_meta={},
-                                snapshots=traj.snapshots, snapshot_times=traj.snapshot_times)
-    with pytest.raises(ContractError):
-        averaged_local_l6(snapshots_only, 6.0)
 
 
 def _rate_by_masks(u, w):

@@ -198,8 +198,8 @@ def test_scale_f12_energy_monotone(fine_grid):
 def test_cubic_barrier_values():
     # delta0 -> 0+: the cubic equals 1 at y = 1, so the root approaches 1
     assert cubic_barrier(0.0, 1e-9) == pytest.approx(1.0, abs=1e-3)
-    # bisection oracle for 1.5 y - 0.5 y^3 = 0.5
-    assert cubic_barrier(0.0, 0.5) == pytest.approx(0.34730, abs=1e-4)
+    # 1.5 y - 0.5 y^3 = 0.5 has the root 2 sin(pi/18); the selftest's literal
+    assert cubic_barrier(0.0, 0.5) == 0.3472963553338607
 
 
 @settings(max_examples=50, deadline=None)
