@@ -61,6 +61,11 @@ class InitialData:
                             ("cutoff", self.cutoff), *(("widths", w) for w in self.widths)):
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        # a zero or negative amplitude builds a valid field, a non-finite one a non-finite field
+        for name, value in (("amplitude", self.amplitude),
+                            *(("amplitudes", a) for a in self.amplitudes)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass

@@ -218,29 +218,27 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     v = u0.values.astype(complex).copy()
     snapshots = [RadialField(grid, v.copy())]
     snap_times = [0.0]
-    # one field re-pointed at each recorded state, which may be non-finite
-    state = RadialField(grid, v)
 
     def record(i: int, vals: NDArray) -> None:
-        state.values = vals
-        du = FieldDerivative(state)
-        rep = report(state, du)
+        d = FieldDerivative(grid, vals)  # a recorded state may be non-finite
+        rep = report(d)
         series["mass"][i] = rep.mass
         series["kinetic"][i] = rep.kinetic
         series["energy"][i] = rep.energy
-        series["l6_local"][i] = local_l6(state, cfg.evacuation_radius, du)
+        series["l6_local"][i] = local_l6(d, cfg.evacuation_radius)
         if weight is not None:
-            series["morawetz_m"][i] = morawetz_action(state, weight, du)
+            series["morawetz_m"][i] = morawetz_action(d, weight)
             for name, val in zip(("morawetz_main", "morawetz_err1", "morawetz_err2"),
-                                 morawetz_rate(state, weight, du)):
+                                 morawetz_rate(d, weight)):
                 series[name][i] = val
         if flux is not None:
             # both integrands vanish past the leading k nodes
             w_ch, w_dch, k = flux
-            series["flux_chi_l6"][i] = w_ch @ du.a6[:k]
-            d_a4 = radial_derivative_on(grid, du.a4, 0, k)
-            w_grad_chi_u4 = w_dch * du.a4[:k] + w_ch * d_a4
-            series["flux_rhs"][i] = 6.0 * (w_grad_chi_u4 @ du.current[:k])
+            series["flux_chi_l6"][i] = w_ch @ d.a6[:k]
+            d_a4 = radial_derivative_on(grid, d.a4, 0, k)
+            w_grad_chi_u4 = w_dch * d.a4[:k] + w_ch * d_a4
+            current = np.imag(np.conj(vals[:k]) * d.du[:k])
+            series["flux_rhs"][i] = 6.0 * (w_grad_chi_u4 @ current)
 
     record(0, v)
     kin0 = series["kinetic"][0]

@@ -24,8 +24,8 @@ from .config import ExperimentConfig, GridSpec, InitialData
 from .dynamics import BLEW_UP, SCATTERED, StepperConfig, Trajectory, evolve, strang_step
 from .errors import ConfigError, ContractError
 from .functionals import GROUND_STATE_KINETIC, chi, cutoff_identity_residual, report
-from .grid import (RadialField, RadialGrid, SpectralPlan, cubic_resample, free_propagate,
-                   integrate_ball, laplacian)
+from .grid import (RadialField, RadialGrid, SpectralPlan, cubic_resample, free_flow,
+                   free_propagate, integrate_ball, laplacian)
 from .morawetz import averaged_local_l6, identity_residual, series_from_trajectory, weight_build
 from .variational import (BUBBLE_THRESHOLDS, K_MINUS, K_PLUS, Thresholds, bubble, classify,
                           cubic_barrier, ground_state, thresholds)
@@ -265,7 +265,8 @@ def free_decay_study(cfg: ExperimentConfig, out: Path) -> dict:
         return summary
     windows = (10.0, 20.0, 40.0, 80.0)
     times = np.arange(0.0, windows[-1] + 0.125, 0.25)
-    sups = np.array([np.max(np.abs(free_propagate(u0, t).values)) for t in times])
+    at = free_flow(u0)
+    sups = np.array([np.max(np.abs(at(t).values)) for t in times])
     fit = slice(8, 81, 2)  # t = 2, 2.5, ..., 20
     exponent = -float(np.polyfit(np.log(times[fit]), np.log(sups[fit]), 1)[0])
     norms = {}

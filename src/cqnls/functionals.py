@@ -50,15 +50,14 @@ class FunctionalReport:
     y_ratio: float
 
 
-def report(u: RadialField, du: FieldDerivative | None = None) -> FunctionalReport:
-    """All scalar functionals of a field in one pass; ``du`` is u's FieldDerivative if held."""
-    if du is None:
-        du = FieldDerivative(u)
-    w = u.grid.weights
-    mass = float(w @ du.a2)
-    kinetic = float(w @ du.du2)
-    l4 = float(w @ du.a4)
-    l6 = float(w @ du.a6)
+def report(u: RadialField | FieldDerivative) -> FunctionalReport:
+    """All scalar functionals of a field, or of its FieldDerivative, in one pass."""
+    d = FieldDerivative.of(u)
+    w = d.grid.weights
+    mass = float(w @ d.a2)
+    kinetic = float(w @ d.du2)
+    l4 = float(w @ d.a4)
+    l6 = float(w @ d.a6)
     return FunctionalReport(
         mass=mass,
         kinetic=kinetic,
@@ -73,21 +72,21 @@ def report(u: RadialField, du: FieldDerivative | None = None) -> FunctionalRepor
     )
 
 
-def local_l6(u: RadialField, R: float, du: FieldDerivative | None = None) -> float:
-    """Sextic mass on the nodes r <= R, a leading slice (the evacuation monitor).
+def local_l6(u: RadialField | FieldDerivative, R: float) -> float:
+    """Sextic mass on the nodes r <= R, a leading slice (the evacuation monitor),
+    of a field or of its FieldDerivative.
 
     A ball that holds no node (R below the first node ``dr``) is refused, not
     read as zero.
     """
-    if R > u.grid.r_max:
-        raise ContractError(f"local radius {R} exceeds the domain radius {u.grid.r_max}")
-    k = int(np.count_nonzero(u.grid.nodes <= R))
-    if k == 0:
-        raise ContractError(f"local radius {R} is below the node spacing {u.grid.dr}: "
+    grid = u.grid
+    if R > grid.r_max:
+        raise ContractError(f"local radius {R} exceeds the domain radius {grid.r_max}")
+    if not R >= grid.nodes[0]:  # a NaN radius is refused here too
+        raise ContractError(f"local radius {R} is below the node spacing {grid.dr}: "
                             f"its ball holds no node")
-    if du is None:
-        du = FieldDerivative(u)
-    return float(u.grid.weights[:k] @ du.a6[:k])
+    k = int(np.searchsorted(grid.nodes, R, side="right"))  # the nodes are sorted
+    return float(grid.weights[:k] @ FieldDerivative.of(u).a6[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +128,7 @@ def cutoff_identity_residual(u: RadialField, R: float) -> float:
     """
     grid = u.grid
     ch, _, lap_chi = chi_profile(grid, R)
-    lhs = integrate_ball(grid, ch**2 * FieldDerivative(u).du2)
+    lhs = integrate_ball(grid, ch**2 * np.abs(radial_derivative(grid, u.values)) ** 2)
     d_chu = radial_derivative(grid, ch * u.values)
     rhs = integrate_ball(grid, np.abs(d_chu) ** 2) + integrate_ball(
         grid, ch * lap_chi * np.abs(u.values) ** 2

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -213,40 +212,26 @@ def radial_derivative_on(grid: RadialGrid, values: NDArray, lo: int, hi: int) ->
 
 
 class FieldDerivative:
-    """The pointwise arrays that the diagnostics of one state share.
+    """The pointwise arrays of one state, computed once, that its diagnostics share.
 
-    du/dr, |u|^2, |u|^4, |u|^6, |du/dr|^2 and Im(conj(u) du/dr) are computed on
-    first use and kept, so the diagnostics of one state take one derivative,
-    one square and one cube.  |u|^6 is |u|^4 * |u|^2, bitwise the product
-    |u|^2 * |u|^2 * |u|^2.
+    du/dr, |u|^2, |u|^4, |u|^6 and |du/dr|^2 are computed when built, so the
+    diagnostics of one state take one derivative, one square and one cube.
+    |u|^6 is |u|^4 * |u|^2, bitwise the product |u|^2 * |u|^2 * |u|^2.  The
+    values are not checked: a recorded state may be non-finite.
     """
 
-    def __init__(self, u: RadialField):
-        self.grid, self.values = u.grid, u.values
+    def __init__(self, grid: RadialGrid, values: NDArray):
+        self.grid, self.values = grid, values
+        self.du = radial_derivative(grid, values)
+        self.a2 = np.abs(values) ** 2
+        self.a4 = self.a2 * self.a2
+        self.a6 = self.a4 * self.a2
+        self.du2 = np.abs(self.du) ** 2
 
-    @cached_property
-    def du(self) -> NDArray:
-        return radial_derivative(self.grid, self.values)
-
-    @cached_property
-    def a2(self) -> NDArray:
-        return np.abs(self.values) ** 2
-
-    @cached_property
-    def a4(self) -> NDArray:
-        return self.a2 * self.a2
-
-    @cached_property
-    def a6(self) -> NDArray:
-        return self.a4 * self.a2
-
-    @cached_property
-    def du2(self) -> NDArray:
-        return np.abs(self.du) ** 2
-
-    @cached_property
-    def current(self) -> NDArray:
-        return np.imag(np.conj(self.values) * self.du)
+    @classmethod
+    def of(cls, u: RadialField | FieldDerivative) -> FieldDerivative:
+        """u itself if it is a FieldDerivative, else the FieldDerivative of the field u."""
+        return u if isinstance(u, cls) else cls(u.grid, u.values)
 
 
 def _boundary_lift(grid: RadialGrid, w: NDArray) -> NDArray:
@@ -274,11 +259,19 @@ def laplacian(u: RadialField) -> RadialField:
 
 def free_propagate(u: RadialField, t: float) -> RadialField:
     """Exact free Schrodinger flow: multiply sine coefficients by e^{-i*lam_k*t}."""
+    return free_flow(u)(t)
+
+
+def free_flow(u: RadialField) -> Callable[[float], RadialField]:
+    """t -> free_propagate(u, t), with the sine coefficients of r*u taken once."""
     grid = u.grid
     plan = SpectralPlan.for_grid(grid)
     c = plan.forward(grid.nodes * u.values)
-    w = plan.inverse(np.exp(-1j * plan.eigenvalues * t) * c)
-    return RadialField(grid, w / grid.nodes)
+
+    def at(t: float) -> RadialField:
+        w = plan.inverse(np.exp(-1j * plan.eigenvalues * t) * c)
+        return RadialField(grid, w / grid.nodes)
+    return at
 
 
 def _cubic_taps(grid: RadialGrid, radii: NDArray):

@@ -165,20 +165,15 @@ def weight_build(R: float) -> MorawetzWeight:
     return w
 
 
-def morawetz_action(u: RadialField, w: MorawetzWeight,
-                    du: FieldDerivative | None = None) -> float:
-    """M = 2 int Im(conj(u) du/dr) a'(r) over the ball.
-
-    ``du`` is u's derivative when the caller already holds it; without it
-    the derivative is taken here.
-    """
-    if du is None:
-        du = FieldDerivative(u)
-    return float(w.on_grid(u.grid).weighted_a_r2 @ du.current)
+def morawetz_action(u: RadialField | FieldDerivative, w: MorawetzWeight) -> float:
+    """M = 2 int Im(conj(u) du/dr) a'(r) over the ball, of a field or of its
+    FieldDerivative."""
+    d = FieldDerivative.of(u)
+    current = np.imag(np.conj(d.values) * d.du)
+    return float(w.on_grid(d.grid).weighted_a_r2 @ current)
 
 
-def _bilaplacian_term(u: RadialField, w: MorawetzWeight, nodes: WeightNodes,
-                      a2: NDArray) -> float:
+def _bilaplacian_term(d: FieldDerivative, w: MorawetzWeight, nodes: WeightNodes) -> float:
     """-int LapLap(a) |u|^2, supported on the transition annulus.
 
     LapLap(a) jumps at both junctions, which a node-based quadrature samples
@@ -187,32 +182,28 @@ def _bilaplacian_term(u: RadialField, w: MorawetzWeight, nodes: WeightNodes,
     4 pi (2R)^2 (Delta a)'(2R) |u(2R)|^2 = -24 pi R |u(2R)|^2
     (the inner surface vanishes since Delta a is constant there).
     """
-    da2 = radial_derivative_on(u.grid, a2, nodes.lo, nodes.hi)
+    da2 = radial_derivative_on(d.grid, d.a2, nodes.lo, nodes.hi)
     smooth = float(nodes.weighted_delta_a_prime @ da2)
-    u_edge = nodes.edge(u.values)
+    u_edge = nodes.edge(d.values)
     return 24.0 * np.pi * w.R * float(np.abs(u_edge) ** 2) + smooth
 
 
-def morawetz_rate(u: RadialField, w: MorawetzWeight,
-                  du: FieldDerivative | None = None) -> tuple[float, float, float]:
-    """The three regional groups of dM/dt: (ball, exterior, transition).
-
-    ``du`` is u's derivative when the caller already holds it; without it
-    the derivative is taken here.
-    """
-    if du is None:
-        du = FieldDerivative(u)
-    nodes = w.on_grid(u.grid)
+def morawetz_rate(u: RadialField | FieldDerivative,
+                  w: MorawetzWeight) -> tuple[float, float, float]:
+    """The three regional groups of dM/dt: (ball, exterior, transition), of a
+    field or of its FieldDerivative."""
+    d = FieldDerivative.of(u)
+    nodes = w.on_grid(d.grid)
     lo, hi = nodes.lo, nodes.hi
     # 4 Re(conj(u_i) a_ij u_j) = 4 a''|u_r|^2 on radial data; the tangential
     # part 12R/r |angular grad u|^2 of the exterior group is identically 0,
     # and so is a'' there.
-    kin, pot = du.du2, du.a4 - (4.0 / 3.0) * du.a6
+    kin, pot = d.du2, d.a4 - (4.0 / 3.0) * d.a6
     wk, wp = nodes.weighted_a_rr4, nodes.weighted_delta_a
     main = float(wk[:lo] @ kin[:lo] + wp[:lo] @ pot[:lo])
     err1 = float(wp[hi:] @ pot[hi:])
     err2 = (float(wk[lo:hi] @ kin[lo:hi] + wp[lo:hi] @ pot[lo:hi])
-            + _bilaplacian_term(u, w, nodes, du.a2))
+            + _bilaplacian_term(d, w, nodes))
     return main, err1, err2
 
 

@@ -365,6 +365,37 @@ def test_non_positive_initial_sizes_are_config_errors(tmp_path, capsys, family, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, key, value", [
+    ("gaussian", "amplitude", "nan"),
+    ("gaussian", "amplitude", "inf"),
+    ("bubble", "amplitude", "-inf"),
+    ("gaussian-mix", "amplitudes", "0.5, nan"),
+])
+def test_non_finite_initial_amplitudes_are_config_errors(tmp_path, capsys, family, key, value):
+    """A non-finite amplitude builds a non-finite field: the config fails to load,
+    so `cqnls evolve` exits 1 with the key named, before any output is made."""
+    mix = "widths = 1.0, 2.0\n" if family == "gaussian-mix" else ""
+    cfgfile = tmp_path / "ev.ini"
+    cfgfile.write_text(f"[grid]\nr_max = 16.0\nn = 255\n\n"
+                       f"[initial]\nfamily = {family}\n{mix}{key} = {value}\n\n"
+                       f"[stepper]\ndt = 1e-3\nt_end = 2e-3\n")
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_initial_amplitudes_need_only_be_finite():
+    with pytest.raises(ConfigError, match="amplitude must be finite"):
+        from_dict({"initial": {"amplitude": "nan"}})
+    for amplitude in (0.0, -0.5):
+        assert from_dict({"initial": {"amplitude": amplitude}}).initial.amplitude == amplitude
+    mix = from_dict({"initial": {"family": "gaussian-mix", "amplitudes": [0.0, -1.0],
+                                 "widths": [1.0, 2.0]}})
+    assert mix.initial.amplitudes == (0.0, -1.0)
+
+
 def test_cli_env_out_root(tmp_path, monkeypatch):
     monkeypatch.setenv("CQNLS_OUT_ROOT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)

@@ -175,31 +175,35 @@ def test_report_with_shared_derivative(grid64):
     rng = np.random.default_rng(11)
     for _ in range(5):
         u = random_smooth_field(grid64, rng)
-        assert report(u, FieldDerivative(u)) == report(u)
+        assert report(FieldDerivative.of(u)) == report(u)
 
 
 def test_field_derivative_products(grid64):
     u = random_smooth_field(grid64, np.random.default_rng(12))
-    du = FieldDerivative(u)
+    du = FieldDerivative(grid64, u.values)
     a2 = np.abs(u.values) ** 2
     assert np.array_equal(du.du, radial_derivative(grid64, u.values))
     assert np.array_equal(du.a2, a2)
     assert np.array_equal(du.a6, a2 * a2 * a2)
+    assert FieldDerivative.of(du) is du
+    same = FieldDerivative.of(u)
+    for name in ("du", "a2", "a4", "a6", "du2"):
+        assert np.array_equal(getattr(same, name), getattr(du, name))
 
 
 @pytest.mark.parametrize("R", [0.01, 1.0, 3.7, 10.0, 64.0])
 def test_local_l6_is_the_masked_sum(grid64, R):
     u = random_smooth_field(grid64, np.random.default_rng(13))
     if R < grid64.dr:  # the ball holds no node: refused, not read as zero
-        for du in (None, FieldDerivative(u)):
+        for state in (u, FieldDerivative.of(u)):
             with pytest.raises(ContractError, match="holds no node"):
-                local_l6(u, R, du)
+                local_l6(state, R)
         return
     mask = grid64.nodes <= R
     a2 = (np.abs(u.values) ** 2)[mask]
     expected = grid64.weights[mask] @ (a2 * a2 * a2)
     assert local_l6(u, R) == expected
-    assert local_l6(u, R, FieldDerivative(u)) == expected
+    assert local_l6(FieldDerivative.of(u), R) == expected
 
 
 @pytest.mark.parametrize("r_max, n", [(16.0, 255), (64.0, 4095)])

@@ -6,7 +6,8 @@ import pytest
 from cqnls.dynamics import StepperConfig, Trajectory, evolve
 from cqnls.errors import ContractError
 from cqnls.functionals import local_l6, report
-from cqnls.grid import RadialField, RadialGrid, integrate_ball, radial_derivative
+from cqnls.grid import (FieldDerivative, RadialField, RadialGrid, integrate_ball,
+                        radial_derivative)
 from cqnls.morawetz import (
     averaged_local_l6,
     identity_residual,
@@ -369,8 +370,9 @@ def test_cached_nodes_match_array_evaluators(R_in_dr):
                         * np.exp(1j * rng.uniform(-1, 1) * r))
         du = radial_derivative(grid, u.values)
         action = (grid.weights * (2.0 * w.a_r(r))) @ np.imag(np.conj(u.values) * du)
-        assert morawetz_action(u, w) == action
-        assert morawetz_rate(u, w) == _rate_by_masks(u, w)
+        for state in (u, FieldDerivative.of(u)):
+            assert morawetz_action(state, w) == action
+            assert morawetz_rate(state, w) == _rate_by_masks(u, w)
 
 
 def _full_grid_sums(u, w):
