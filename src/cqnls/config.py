@@ -66,6 +66,10 @@ class InitialData:
                             *(("amplitudes", a) for a in self.amplitudes)):
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.family == "gaussian-mix" and not (
+                self.amplitudes and len(self.amplitudes) == len(self.widths)):
+            raise ConfigError("gaussian-mix needs matching amplitudes and widths, got "
+                              f"{len(self.amplitudes)} and {len(self.widths)}")
 
 
 @dataclass

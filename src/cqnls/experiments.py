@@ -39,8 +39,6 @@ def build_initial(grid: RadialGrid, spec: InitialData) -> RadialField:
     if spec.family == "gaussian":
         vals = spec.amplitude * np.exp(-((r / spec.width) ** 2))
     elif spec.family == "gaussian-mix":
-        if not spec.amplitudes or len(spec.amplitudes) != len(spec.widths):
-            raise ConfigError("gaussian-mix needs matching amplitudes and widths")
         vals = np.zeros_like(r)
         for a, w in zip(spec.amplitudes, spec.widths):
             vals = vals + a * np.exp(-((r / w) ** 2))

@@ -386,6 +386,27 @@ def test_non_finite_initial_amplitudes_are_config_errors(tmp_path, capsys, famil
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mix", [
+    "",
+    "amplitudes = 0.5\nwidths = 1.0, 2.0\n",
+    "amplitudes = 0.5, 0.5\n",
+    "widths = 1.0\n",
+], ids=["neither", "fewer-amplitudes", "no-widths", "no-amplitudes"])
+def test_unmatched_gaussian_mix_is_a_config_error(tmp_path, capsys, mix):
+    """A gaussian-mix without amplitudes, or with a different number of widths, fails
+    to load: `cqnls evolve` exits 1 before any output is made."""
+    cfgfile = tmp_path / "ev.ini"
+    cfgfile.write_text(f"[grid]\nr_max = 16.0\nn = 255\n\n"
+                       f"[initial]\nfamily = gaussian-mix\n{mix}\n"
+                       f"[stepper]\ndt = 1e-3\nt_end = 2e-3\n")
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "gaussian-mix needs matching amplitudes and widths" in err
+    assert not out.exists()
+
+
 def test_initial_amplitudes_need_only_be_finite():
     with pytest.raises(ConfigError, match="amplitude must be finite"):
         from_dict({"initial": {"amplitude": "nan"}})
@@ -518,8 +539,9 @@ def test_dichotomy_sweep_of_non_gaussian_family_is_a_config_error(tmp_path, caps
     """The sweep steps gaussians only; another [initial] family exits 1 instead of
     being swept as width-1 gaussians."""
     cfgfile = tmp_path / "sw.ini"
+    mix = "amplitudes = 0.5\nwidths = 1.0\n" if family == "gaussian-mix" else ""
     cfgfile.write_text("[run]\nexperiment = dichotomy-sweep\n\n[grid]\nr_max = 64.0\nn = 1023\n\n"
-                       f"[initial]\nfamily = {family}\n\n[stepper]\ndt = 4e-3\nt_end = 0.04\n")
+                       f"[initial]\nfamily = {family}\n{mix}\n[stepper]\ndt = 4e-3\nt_end = 0.04\n")
     out = tmp_path / "o"
     assert main(["dichotomy-sweep", "--config", str(cfgfile), "--out", str(out)]) == 1
     error = out / "dichotomy-sweep" / "error.txt"

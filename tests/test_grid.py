@@ -1,15 +1,23 @@
 """Grid, quadrature, differentiation, spectral Laplacian, free propagator."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cqnls
 from cqnls.errors import ContractError
 from cqnls.grid import (
     RadialField,
     RadialGrid,
     SpectralPlan,
+    _load_pocketfft,
     free_propagate,
     integrate_ball,
     laplacian,
@@ -239,6 +247,50 @@ def test_complex_transforms_equal_scipy_bitwise(n):
     real = x.real[:n]
     assert plan.forward(real).tobytes() == dst(real.astype(complex), type=1).tobytes()
     assert plan.inverse(real).tobytes() == idst(real.astype(complex), type=1).tobytes()
+
+
+# a fresh interpreter importing cqnls with scipy.fft imported after it (as
+# perfbench's environment() does) or before it; prints what cqnls' imports
+# loaded and whether forward/inverse, called before and after scipy.fft's
+# import, give scipy's bytes
+_FRESH_IMPORT = """
+import json, sys
+if sys.argv[1] == "before":
+    import scipy.fft
+import cqnls, cqnls.cli, cqnls.experiments
+loaded = sorted(m for m in ("scipy.fft", "scipy.special") if m in sys.modules)
+import numpy as np
+from cqnls.grid import RadialGrid, SpectralPlan
+n = 2047
+plan = SpectralPlan.for_grid(RadialGrid(16.0, n))
+x = np.random.default_rng(n).standard_normal(2 * n).view(complex)
+early = plan.forward(x).tobytes(), plan.inverse(x).tobytes()
+import scipy.fft
+want = scipy.fft.dst(x, type=1).tobytes(), scipy.fft.idst(x, type=1).tobytes()
+late = plan.forward(x).tobytes(), plan.inverse(x).tobytes()
+print(json.dumps({"loaded": loaded, "equal": early == want == late}))
+"""
+
+
+@pytest.mark.parametrize("scipy_fft", ["after", "before"])
+def test_cqnls_imports_no_scipy_fft_and_keeps_its_bytes(scipy_fft):
+    """Importing cqnls, cqnls.experiments and cqnls.cli loads neither scipy.fft nor
+    scipy.special, and the transforms equal scipy's dst/idst whichever is imported first."""
+    src = str(Path(cqnls.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", _FRESH_IMPORT, scipy_fft], env=env,
+                         capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout)
+    assert got["loaded"] == ([] if scipy_fft == "after" else ["scipy.fft", "scipy.special"])
+    assert got["equal"]
+
+
+def test_missing_pocketfft_is_an_import_error_naming_the_directory(tmp_path):
+    (tmp_path / "pocketfft.txt").write_text("not an extension")
+    with pytest.raises(ImportError, match="no pypocketfft extension") as err:
+        _load_pocketfft(tmp_path)
+    assert str(tmp_path) in str(err.value)
 
 
 def test_free_propagate_identity(grid64):
