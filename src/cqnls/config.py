@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .dynamics import StepperConfig
 from .errors import ConfigError
-from .grid import DEFAULT_N, DEFAULT_R_MAX
+from .grid import RadialGrid
 
 EXPERIMENTS = (
     "thresholds", "classify", "evolve", "dichotomy-sweep",
@@ -25,10 +25,8 @@ EXPERIMENTS = (
 )
 
 
-@dataclass
-class GridSpec:
-    r_max: float = DEFAULT_R_MAX
-    n: int = DEFAULT_N
+# the [grid] section is the run's RadialGrid; the old name stays for code that imports it
+GridSpec = RadialGrid
 
 
 @dataclass
@@ -90,7 +88,7 @@ class SweepSpec:
 @dataclass
 class ExperimentConfig:
     experiment: str = "selftest"
-    grid: GridSpec = field(default_factory=GridSpec)
+    grid: RadialGrid = field(default_factory=RadialGrid)
     initial: InitialData = field(default_factory=InitialData)
     stepper: StepperConfig = field(default_factory=StepperConfig)
     sweep: SweepSpec = field(default_factory=SweepSpec)
@@ -105,13 +103,10 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["initial"]["amplitudes"] = list(d["initial"]["amplitudes"])
-        d["initial"]["widths"] = list(d["initial"]["widths"])
-        return d
+        return dataclasses.asdict(self)
 
 
-_SECTIONS = {"grid": GridSpec, "initial": InitialData, "stepper": StepperConfig,
+_SECTIONS = {"grid": RadialGrid, "initial": InitialData, "stepper": StepperConfig,
              "sweep": SweepSpec}
 _TOP_LEVEL = ("experiment", "out_dir", "seed", "workers")
 
@@ -177,9 +172,10 @@ def from_dict(d: dict) -> ExperimentConfig:
                           f"not {type(d).__name__}")
     d = dict(d)
     kwargs = {}
+    defaults = ExperimentConfig()
     for name in _TOP_LEVEL:
         if name in d:
-            kwargs[name] = _coerce_field(d.pop(name), getattr(ExperimentConfig(), name), name, "run")
+            kwargs[name] = _coerce_field(d.pop(name), getattr(defaults, name), name, "run")
     for sec, cls in _SECTIONS.items():
         if sec in d:
             kwargs[sec] = _build_section(cls, d.pop(sec), sec)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import storage
-from .config import ExperimentConfig, GridSpec, InitialData
+from .config import ExperimentConfig, InitialData
 from .dynamics import BLEW_UP, SCATTERED, StepperConfig, Trajectory, evolve, strang_step
 from .errors import ConfigError, ContractError
 from .functionals import GROUND_STATE_KINETIC, chi, cutoff_identity_residual, report
@@ -49,8 +49,6 @@ def build_initial(grid: RadialGrid, spec: InitialData) -> RadialField:
         if field.grid == grid:
             return field
         return RadialField(grid, cubic_resample(field, np.minimum(r, field.grid.r_max)))
-    else:
-        raise ConfigError(f"unknown family {spec.family!r}")
     return RadialField(grid, vals.astype(complex))
 
 
@@ -58,9 +56,8 @@ def build_initial(grid: RadialGrid, spec: InitialData) -> RadialField:
 # experiments
 
 def run_thresholds(cfg: ExperimentConfig, out: Path) -> dict:
-    grid = RadialGrid(cfg.grid.r_max, cfg.grid.n)
-    th = thresholds(grid)
-    w = ground_state(grid)
+    th = thresholds(cfg.grid)
+    w = ground_state(cfg.grid)
     residual = float(np.max(np.abs(-laplacian(w).values - w.values**5)))
     summary = {
         "grad_w_sq": th.grad_w_sq,
@@ -74,8 +71,7 @@ def run_thresholds(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_classify(cfg: ExperimentConfig, out: Path) -> dict:
-    grid = RadialGrid(cfg.grid.r_max, cfg.grid.n)
-    u = build_initial(grid, cfg.initial)
+    u = build_initial(cfg.grid, cfg.initial)
     cls = classify(u)
     ledger = out / "classifications.csv"
     header = "tag,energy_margin,k_value,grad_margin,descriptor\n"
@@ -97,8 +93,7 @@ def run_classify(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_evolve(cfg: ExperimentConfig, out: Path) -> dict:
-    grid = RadialGrid(cfg.grid.r_max, cfg.grid.n)
-    u0 = build_initial(grid, cfg.initial)
+    u0 = build_initial(cfg.grid, cfg.initial)
     traj, outcome = evolve(u0, cfg.stepper)
     traj.to_csv(out / "series.csv")
     storage.write_json(out / "outcome.json", outcome.to_dict())
@@ -116,7 +111,7 @@ def run_evolve(cfg: ExperimentConfig, out: Path) -> dict:
 # grid than the sweep's gaussians.  Its amplitude is the one
 # find_kminus_amplitude returns on _BUBBLE_GRID, so classify() lands in KMinus;
 # it is 1.26 as np.arange yields it, one ulp above the literal 1.26.
-_BUBBLE_GRID = GridSpec(r_max=64.0, n=2**14 - 1)
+_BUBBLE_GRID = RadialGrid(r_max=64.0, n=2**14 - 1)
 _BUBBLE_STEPPER = dict(dt=5e-5, t_end=2.0)
 _BUBBLE = InitialData(family="bubble", amplitude=1.2600000000000002)
 
@@ -131,9 +126,9 @@ def find_kminus_amplitude(grid: RadialGrid, th: Thresholds = BUBBLE_THRESHOLDS) 
     raise ContractError("no KMinus amplitude found in the scanned range")
 
 
-def _sweep_point(args: tuple[GridSpec, StepperConfig, InitialData]) -> dict:
-    grid_spec, stepper, initial = args
-    u0 = build_initial(RadialGrid(grid_spec.r_max, grid_spec.n), initial)
+def _sweep_point(args: tuple[RadialGrid, StepperConfig, InitialData]) -> dict:
+    grid, stepper, initial = args
+    u0 = build_initial(grid, initial)
     cls = classify(u0)
     traj, outcome = evolve(u0, stepper)
     rep = cls.report
@@ -211,8 +206,7 @@ def run_morawetz(cfg: ExperimentConfig, out: Path) -> dict:
     (long runs must shed radiation).  Every other stepper field comes from
     cfg.stepper.
     """
-    grid = RadialGrid(cfg.grid.r_max, cfg.grid.n)
-    u0 = build_initial(grid, cfg.initial)
+    u0 = build_initial(cfg.grid, cfg.initial)
     R_w = cfg.stepper.morawetz_radius or 8.0
     w = weight_build(R_w)
 
@@ -254,14 +248,13 @@ def free_decay_study(cfg: ExperimentConfig, out: Path) -> dict:
     Both read one series of sup norms, taken every 0.25 in time up to t = 80:
     the fit its entries at t = 2, 2.5, ..., 20, and the norm over [0, T] the
     trapezoid rule of their fourth powers up to T."""
-    grid = RadialGrid(cfg.grid.r_max, cfg.grid.n)
-    u0 = build_initial(grid, cfg.initial)
-    if integrate_ball(grid, np.abs(u0.values) ** 2) == 0.0:
+    windows = (10.0, 20.0, 40.0, 80.0)
+    u0 = build_initial(cfg.grid, cfg.initial)
+    if integrate_ball(cfg.grid, np.abs(u0.values) ** 2) == 0.0:
         summary = {"degenerate": True, "exponent": None, "saturation": None,
-                   "norms": {str(T): 0.0 for T in (10.0, 20.0, 40.0, 80.0)}}
+                   "norms": {str(T): 0.0 for T in windows}}
         storage.write_json(out / "free_decay.json", summary)
         return summary
-    windows = (10.0, 20.0, 40.0, 80.0)
     times = np.arange(0.0, windows[-1] + 0.125, 0.25)
     at = free_flow(u0)
     sups = np.array([np.max(np.abs(at(t).values)) for t in times])

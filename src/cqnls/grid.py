@@ -39,9 +39,6 @@ from numpy.typing import NDArray
 
 from .errors import ContractError
 
-DEFAULT_R_MAX = 256.0
-DEFAULT_N = 2**14 - 1
-
 # mallopt parameter numbers, from glibc's malloc.h
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -101,34 +98,34 @@ def _scipy_pocketfft_dir() -> Path:
 _pocketfft = _load_pocketfft(_scipy_pocketfft_dir())
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialGrid:
     """Uniform interior nodes of [0, r_max] with 4*pi*r^2 dr quadrature.
 
     Attributes:
         r_max: Ball radius (Dirichlet end for w = r*u).
         n: Interior node count; nodes exclude r = 0 and r = r_max.
+
+    A config's ``[grid]`` section is a RadialGrid, so these checks run when it
+    loads.  It is frozen: ``dr``, ``nodes`` and ``weights`` are built from
+    r_max and n once, and equality and hashing read only r_max and n.
     """
 
-    r_max: float = DEFAULT_R_MAX
-    n: int = DEFAULT_N
+    r_max: float = 256.0
+    n: int = 2**14 - 1
 
     def __post_init__(self):
         if not (self.r_max > 0 and np.isfinite(self.r_max)):
             raise ContractError("r_max must be positive and finite")
         if self.n < 8:
             raise ContractError("need at least 8 interior nodes")
-        self.dr = self.r_max / (self.n + 1)
-        self.nodes = np.arange(1, self.n + 1) * self.dr
+        dr = self.r_max / (self.n + 1)
+        nodes = np.arange(1, self.n + 1) * dr
+        object.__setattr__(self, "dr", dr)
+        object.__setattr__(self, "nodes", nodes)
         # composite trapezoid on the 4*pi*r^2 measure; both endpoint values
         # are taken as 0 (integrands are expected to vanish at r=0 and r_max)
-        self.weights = 4.0 * np.pi * self.nodes**2 * self.dr
-
-    def __eq__(self, other):
-        return isinstance(other, RadialGrid) and self.r_max == other.r_max and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.r_max, self.n))
+        object.__setattr__(self, "weights", 4.0 * np.pi * nodes**2 * dr)
 
 
 @dataclass

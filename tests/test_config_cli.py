@@ -365,6 +365,30 @@ def test_non_positive_initial_sizes_are_config_errors(tmp_path, capsys, family, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["n = 4", "r_max = 0", "r_max = -1", "r_max = nan",
+                                  "r_max = inf"])
+def test_bad_grid_is_a_config_error(tmp_path, capsys, grid):
+    """The [grid] section is the run's RadialGrid, checked at load: too few nodes or a
+    non-positive or non-finite radius exits 1 before any output directory is made."""
+    cfgfile = tmp_path / "ev.ini"
+    cfgfile.write_text(f"[grid]\n{grid}\n\n[stepper]\ndt = 1e-3\nt_end = 2e-3\n")
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad [grid] section:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_grid_cannot_drift_from_its_nodes():
+    """The loaded grid is frozen: its nodes were built from r_max and n, which stay put."""
+    import dataclasses
+
+    cfg = from_dict({"grid": {"r_max": 64.0, "n": 1023}})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.grid.n = 2047
+    assert cfg.grid.nodes.size == 1023 and cfg.grid == RadialGrid(64.0, 1023)
+
+
 @pytest.mark.parametrize("family, key, value", [
     ("gaussian", "amplitude", "nan"),
     ("gaussian", "amplitude", "inf"),
@@ -631,15 +655,26 @@ def test_tuple_fields_parse_lists_and_strings():
         assert from_dict({"initial": {"widths": raw}}).initial.widths == (0.5, 2.0)
 
 
+# the manifest's config_hash of each shipped config; a refactor must not move them
+_SHIPPED_CONFIG_HASHES = {
+    "dichotomy.ini": "ea939c25c1ece2cef49e09a5170e82763a3e1f7d8093db8a32fb0b0b9b1f3e0b",
+    "free_decay.ini": "cdeaa433be412758db6db34c3d7c699f67c26a58f64463cb72bb7a978b4e8f37",
+    "morawetz_scaling.json": "f5a56caa91742d40e739d9cbe74507e843891e3ef74213b90164ee76831cd96f",
+    "thresholds.ini": "e021828fdb6cb6e0bc6d1d36368e5d85a8a4e8ee9097a40d28e131807a6bb255",
+}
+
+
 def test_shipped_configs_load():
     from cqnls.experiments import REGISTRY
+    from cqnls.storage import config_hash
 
     configs = sorted((Path(__file__).parent.parent / "configs").glob("*.*"))
-    assert len(configs) == 4
+    assert [p.name for p in configs] == sorted(_SHIPPED_CONFIG_HASHES)
     for path in configs:
         cfg = load_config(path)
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.experiment in REGISTRY
+        assert config_hash(cfg.to_dict()) == _SHIPPED_CONFIG_HASHES[path.name], path.name
 
 
 def test_manifest_lists_only_this_runs_files(tmp_path):
