@@ -19,15 +19,20 @@ the bytes are unchanged.
 The sponge, when on, damps y before q is taken, so q is exact for the
 damped modulus too.
 
-Outcome detection is deliberately resolution-aware:
-
-  * blowup: kinetic norm exceeding ``_BLOWUP_GRADIENT_FACTOR`` (10) times its
-    initial value, co-triggered with more than 10% of the spectral kinetic
-    density sitting in the top third of the sine modes (a collapsing core
-    necessarily drives both).  The spectrum read is that of r*y, after the
-    free flow and before the sponge and the closing half-phase;
-  * scattering proxy: the local sextic mass inside the evacuation radius
-    dropping below epsilon^6 somewhere in the final fifth of the run.
+Outcome detection is deliberately resolution-aware.  A kinetic norm above
+``_BLOWUP_GRADIENT_FACTOR`` (10) times its initial value fires the in-loop
+trigger, which records that ratio and the share of the spectral kinetic
+density in the top third of the sine modes (of r*y after the free flow,
+before the sponge).  A share above ``_TAIL_FRACTION_LIMIT`` (10%) confirms a
+blowup, since a collapsing core drives both, and stops the run, as does a
+non-finite state.  ``judge(traj, trigger)`` then reads the verdict off the
+record: ``BlewUp`` at the last recorded time after a confirmed trigger, or
+after a non-finite stop (``aborted_nonfinite``) that the trigger preceded;
+``Scattered`` for nonzero data whose sextic mass inside the evacuation
+radius reaches epsilon^6 in the last fifth of the run; else ``Undecided``.
+Its evidence: ``min_local_l6`` (that late minimum), ``max_kinetic_ratio``,
+``completed`` (every step ran, no confirmed trigger), ``gradient_fired``,
+``dt_lambda_max`` (the top sine mode's phase per step) and the trigger's.
 
 Neither construction of scattering states nor continuation past the trigger
 is attempted.
@@ -243,12 +248,9 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     record(0, v)
     kin0 = series["kinetic"][0]
 
-    zero_data = series["mass"][0] == 0.0
-    blew_at: float | None = None
     last = n_steps  # the last step recorded
-    gradient_fired = False
     trigger: dict = {}  # detector quantities at the last gradient trigger
-    if not zero_data:
+    if series["mass"][0] != 0.0:  # zero data stays zero: nothing to step
         q = _phase_factor(v, 0.5 * dt)
         for k in range(1, n_steps + 1):
             coef, v, q = _step(plan, free, v, q, dt, sponge_mult)
@@ -263,13 +265,12 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
                 snapshots.append(RadialField(grid, v.copy()))
                 snap_times.append(k * dt)
             if series["kinetic"][k] >= _BLOWUP_GRADIENT_FACTOR * kin0 and kin0 > 0:
-                gradient_fired = True
                 spectral = np.abs(coef) ** 2 * plan.eigenvalues
                 tail_fraction = np.sum(spectral[tail_mask]) / np.sum(spectral)
                 trigger = {"trigger_kinetic_ratio": float(series["kinetic"][k] / kin0),
                            "tail_fraction": float(tail_fraction)}
                 if tail_fraction > _TAIL_FRACTION_LIMIT:
-                    blew_at, last = k * dt, k
+                    last = k
                     break
 
     times = times[: last + 1]
@@ -279,27 +280,35 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
         snap_times.append(times[-1])
 
     traj = Trajectory(times, series, cfg, snapshots, np.array(snap_times))
+    return traj, judge(traj, trigger)
 
+
+def judge(traj: Trajectory, trigger: dict) -> RunOutcome:
+    """The verdict on what ``evolve`` recorded (see the module docstring); ``trigger``
+    holds the detector quantities at the last kinetic trigger, ``{}`` if none."""
+    cfg, times, series = traj.stepper, traj.times, traj.series
+    kin0 = series["kinetic"][0]
     late = times >= times[-1] - 0.2 * (times[-1] - times[0]) if times[-1] > 0 else slice(None)
     min_late_l6 = float(np.min(series["l6_local"][late]))
+    blew_up = bool(trigger) and trigger["tail_fraction"] > _TAIL_FRACTION_LIMIT
+    finished = len(times) - 1 == round(cfg.t_end / cfg.dt)
+    plan = SpectralPlan.for_grid(traj.snapshots[0].grid)
     evidence = {
         "min_local_l6": min_late_l6,
         "max_kinetic_ratio": float(np.max(series["kinetic"]) / kin0) if kin0 > 0 else 0.0,
-        "completed": blew_at is None and last == n_steps,
-        "gradient_fired": gradient_fired,
-        "dt_lambda_max": float(dt * plan.eigenvalues[-1]),  # top sine mode's phase per step
+        "completed": finished and not blew_up,
+        "gradient_fired": bool(trigger),
+        "dt_lambda_max": float(cfg.dt * plan.eigenvalues[-1]),
         **trigger,
     }
-    if blew_at is not None:
-        return traj, RunOutcome(BLEW_UP, blew_at, evidence)
-    if last < n_steps:
-        # non-finite state without a confirmed gradient trigger
-        tag = BLEW_UP if gradient_fired else UNDECIDED
+    aborted = not (finished or blew_up)  # stopped at a non-finite state
+    if aborted:
         evidence["aborted_nonfinite"] = True
-        return traj, RunOutcome(tag, times[-1] if gradient_fired else None, evidence)
-    if not zero_data and min_late_l6 <= cfg.evacuation_epsilon**6:
-        return traj, RunOutcome(SCATTERED, None, evidence)
-    return traj, RunOutcome(UNDECIDED, None, evidence)
+    if blew_up or (aborted and trigger):
+        return RunOutcome(BLEW_UP, float(times[-1]), evidence)
+    if not aborted and series["mass"][0] != 0.0 and min_late_l6 <= cfg.evacuation_epsilon**6:
+        return RunOutcome(SCATTERED, None, evidence)
+    return RunOutcome(UNDECIDED, None, evidence)
 
 
 def flux_identity_residual(traj, R: float) -> float:

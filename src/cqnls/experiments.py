@@ -3,9 +3,8 @@
 Every experiment takes an ExperimentConfig, writes its numeric artifacts
 (CSV/JSON, snapshots as .npy) plus a manifest under
 ``<out_dir>/<experiment>/``, and returns a summary dict.  Reruns of the same
-config reproduce the numeric artifacts byte for byte, except the append-only
-ledger ``classifications.csv`` that each ``classify`` run adds a line to; the
-manifest additionally records wall time, versions and the run's memory cost.
+config reproduce the numeric artifacts byte for byte; the manifest
+additionally records wall time, versions and the run's memory cost.
 """
 
 from __future__ import annotations
@@ -73,21 +72,8 @@ def run_thresholds(cfg: ExperimentConfig, out: Path) -> dict:
 def run_classify(cfg: ExperimentConfig, out: Path) -> dict:
     u = build_initial(cfg.grid, cfg.initial)
     cls = classify(u)
-    ledger = out / "classifications.csv"
-    header = "tag,energy_margin,k_value,grad_margin,descriptor\n"
-    line = (f"{cls.tag},{cls.energy_margin!r},{cls.k_value!r},"
-            f"{cls.grad_margin!r},{cfg.initial.family}\n")
-    if ledger.exists():
-        ledger.write_text(ledger.read_text() + line)
-    else:
-        ledger.write_text(header + line)
-    summary = {
-        "tag": cls.tag,
-        "energy_margin": cls.energy_margin,
-        "k_value": cls.k_value,
-        "grad_margin": cls.grad_margin,
-        "kbar_agrees": cls.kbar_agrees,
-    }
+    summary = {key: getattr(cls, key)
+               for key in ("tag", "energy_margin", "k_value", "grad_margin", "kbar_agrees")}
     storage.write_json(out / "classification.json", summary)
     return summary
 

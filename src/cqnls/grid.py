@@ -108,7 +108,7 @@ class RadialGrid:
 
     A config's ``[grid]`` section is a RadialGrid, so these checks run when it
     loads.  It is frozen: ``dr``, ``nodes`` and ``weights`` are built from
-    r_max and n once, and equality and hashing read only r_max and n.
+    r_max and n once, and equality, hashing and pickling read only r_max and n.
     """
 
     r_max: float = 256.0
@@ -116,9 +116,9 @@ class RadialGrid:
 
     def __post_init__(self):
         if not (self.r_max > 0 and np.isfinite(self.r_max)):
-            raise ContractError("r_max must be positive and finite")
+            raise ContractError(f"r_max must be positive and finite, got {self.r_max!r}")
         if self.n < 8:
-            raise ContractError("need at least 8 interior nodes")
+            raise ContractError(f"need at least 8 interior nodes, got {self.n!r}")
         dr = self.r_max / (self.n + 1)
         nodes = np.arange(1, self.n + 1) * dr
         object.__setattr__(self, "dr", dr)
@@ -126,6 +126,9 @@ class RadialGrid:
         # composite trapezoid on the 4*pi*r^2 measure; both endpoint values
         # are taken as 0 (integrands are expected to vanish at r=0 and r_max)
         object.__setattr__(self, "weights", 4.0 * np.pi * nodes**2 * dr)
+
+    def __reduce__(self):
+        return RadialGrid, (self.r_max, self.n)
 
 
 @dataclass

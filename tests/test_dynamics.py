@@ -13,7 +13,9 @@ from cqnls.dynamics import (
     SCATTERED,
     UNDECIDED,
     StepperConfig,
+    Trajectory,
     evolve,
+    judge,
     _phase_factor,
     flux_identity_residual,
     strang_step,
@@ -615,3 +617,96 @@ def test_outcome_reports_top_mode_phase_per_step(r_max, n, dt):
     grid = RadialGrid(r_max, n)
     _, outcome = evolve(gaussian(grid, 0.3), StepperConfig(dt=dt, t_end=3 * dt))
     assert outcome.evidence["dt_lambda_max"] == dt * (n * np.pi / r_max) ** 2
+
+
+# ---------------------------------------------------------------------------
+# judge: the verdict on synthetic records
+
+_RECORD_GRID = RadialGrid(16.0, 63)
+
+
+def _recorded(l6_local, steps=None, dt=0.1, mass=1.0, kinetic=1.0) -> Trajectory:
+    """A record of len(l6_local) states of a run of ``steps`` steps (default: all
+    recorded), with constant mass and kinetic series."""
+    n = len(l6_local)
+    steps = n - 1 if steps is None else steps
+    series = {"mass": np.full(n, mass), "energy": np.zeros(n),
+              "kinetic": np.full(n, kinetic), "l6_local": np.asarray(l6_local, dtype=float)}
+    return Trajectory(np.arange(n) * dt, series, StepperConfig(dt=dt, t_end=steps * dt),
+                      [RadialField(_RECORD_GRID, np.zeros(_RECORD_GRID.n))], np.array([0.0]))
+
+
+_FIRED = {"trigger_kinetic_ratio": 12.5, "tail_fraction": 0.05}  # unconfirmed
+_CONFIRMED = {"trigger_kinetic_ratio": 40.0, "tail_fraction": 0.25}
+
+
+def test_judge_scatters_at_epsilon_six_and_not_one_ulp_above():
+    eps6 = StepperConfig().evacuation_epsilon ** 6
+    l6 = np.full(11, 1.0)
+    l6[-1] = eps6
+    outcome = judge(_recorded(l6), {})
+    assert outcome.tag == SCATTERED and outcome.t_event is None
+    assert outcome.evidence == {"min_local_l6": eps6, "max_kinetic_ratio": 1.0,
+                                "completed": True, "gradient_fired": False,
+                                "dt_lambda_max": 0.1 * (63 * np.pi / 16.0) ** 2}
+    l6[-1] = np.nextafter(eps6, 1.0)
+    outcome = judge(_recorded(l6), {})
+    assert outcome.tag == UNDECIDED and outcome.evidence["min_local_l6"] == l6[-1]
+
+
+def test_judge_zero_data_is_undecided():
+    outcome = judge(_recorded(np.zeros(11), mass=0.0, kinetic=0.0), {})
+    assert outcome.tag == UNDECIDED and outcome.t_event is None
+    assert outcome.evidence["min_local_l6"] == 0.0
+    assert outcome.evidence["max_kinetic_ratio"] == 0.0 and outcome.evidence["completed"]
+
+
+@pytest.mark.parametrize("steps", [5, 10])
+def test_judge_confirmed_trigger_blows_up_at_the_last_recorded_time(steps):
+    """A confirmed trigger stops the run at the step that fired it, the last one or not;
+    the run did not complete, and it is no non-finite abort."""
+    traj = _recorded(np.zeros(6), steps=steps)
+    outcome = judge(traj, _CONFIRMED)
+    assert outcome.tag == BLEW_UP and outcome.t_event == traj.times[-1] == 0.5
+    assert type(outcome.t_event) is float
+    assert outcome.evidence == {"min_local_l6": 0.0, "max_kinetic_ratio": 1.0,
+                                "completed": False, "gradient_fired": True,
+                                "dt_lambda_max": 0.1 * (63 * np.pi / 16.0) ** 2, **_CONFIRMED}
+
+
+def test_judge_nonfinite_abort():
+    """Fewer recorded steps than t_end/dt without a confirmed trigger is a non-finite
+    stop: BlewUp at the last finite time after an unconfirmed trigger, Undecided without
+    one, even where l6_local already fell below epsilon^6."""
+    traj = _recorded(np.zeros(6), steps=10)
+    outcome = judge(traj, _FIRED)
+    assert outcome.tag == BLEW_UP and outcome.t_event == traj.times[-1]
+    assert outcome.evidence["aborted_nonfinite"] and outcome.evidence["gradient_fired"]
+    assert not outcome.evidence["completed"] and outcome.evidence["tail_fraction"] == 0.05
+    outcome = judge(traj, {})
+    assert outcome.tag == UNDECIDED and outcome.t_event is None
+    assert outcome.evidence["aborted_nonfinite"] and not outcome.evidence["gradient_fired"]
+    assert "tail_fraction" not in outcome.evidence
+    assert "aborted_nonfinite" not in judge(_recorded(np.zeros(6)), _FIRED).evidence
+
+
+@pytest.mark.parametrize("low_at, tag", [(15, UNDECIDED), (16, SCATTERED), (20, SCATTERED)])
+def test_judge_late_window_is_the_last_fifth_of_the_recorded_times(low_at, tag):
+    """On t = 0, 0.25, ..., 5 the last fifth is t >= 4, from index 16 on."""
+    l6 = np.ones(21)
+    l6[low_at] = 0.0
+    outcome = judge(_recorded(l6, dt=0.25), {})
+    assert outcome.tag == tag
+    assert outcome.evidence["min_local_l6"] == (0.0 if tag == SCATTERED else 1.0)
+
+
+def test_judge_rereads_what_evolve_recorded(grid64, monkeypatch):
+    """evolve's verdict is judge of its trajectory and trigger, which the evidence
+    keeps, so a record can be judged again without stepping."""
+    import cqnls.dynamics as dyn
+
+    monkeypatch.setattr(dyn, "_BLOWUP_GRADIENT_FACTOR", 1.005)
+    u0 = RadialField(grid64, 1.5 * np.exp(-grid64.nodes**2 - 0.5j * grid64.nodes**2))
+    traj, outcome = evolve(u0, StepperConfig(dt=1e-3, t_end=0.02, snapshot_stride=10**9))
+    trigger = {k: outcome.evidence[k] for k in ("trigger_kinetic_ratio", "tail_fraction")}
+    assert judge(traj, trigger) == outcome

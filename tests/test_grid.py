@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,18 @@ def test_grid_invariants():
     assert np.all(np.diff(g.nodes) > 0)
     assert g.nodes[0] > 0 and g.nodes[-1] < g.r_max
     assert g.dr == pytest.approx(12.0 / 512)
+
+
+@pytest.mark.parametrize("r_max, n", [(64.0, 2**14 - 1), (32.0, 2047)])
+def test_grid_pickles_as_its_two_numbers(r_max, n):
+    """A sweep sends its grids to worker processes: r_max and n travel, the node
+    vectors are rebuilt bitwise."""
+    grid = RadialGrid(r_max, n)
+    data = pickle.dumps(grid)
+    back = pickle.loads(data)
+    assert len(data) < 1024 and back == grid and back.dr == grid.dr
+    assert back.nodes.tobytes() == grid.nodes.tobytes()
+    assert back.weights.tobytes() == grid.weights.tobytes()
 
 
 def test_constant_profile_ball_volume():
