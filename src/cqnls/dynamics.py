@@ -32,7 +32,7 @@ after a non-finite stop (``aborted_nonfinite``) that the trigger preceded;
 radius reaches epsilon^6 in the last fifth of the run; else ``Undecided``.
 Its evidence: ``min_local_l6`` (that late minimum), ``max_kinetic_ratio``,
 ``completed`` (every step ran, no confirmed trigger), ``gradient_fired``,
-``dt_lambda_max`` (the top sine mode's phase per step) and the trigger's.
+``dt_lambda_max`` (the top sine mode's phase per step) and the trigger record.
 
 Neither construction of scattering states nor continuation past the trigger
 is attempted.
