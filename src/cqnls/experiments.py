@@ -12,7 +12,6 @@ from __future__ import annotations
 import resource
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,8 +25,8 @@ from .functionals import GROUND_STATE_KINETIC, chi, cutoff_identity_residual, re
 from .grid import (RadialField, RadialGrid, SpectralPlan, cubic_resample, free_flow,
                    free_propagate, integrate_ball, laplacian)
 from .morawetz import averaged_local_l6, identity_residual, series_from_trajectory, weight_build
-from .variational import (BUBBLE_THRESHOLDS, K_MINUS, K_PLUS, Thresholds, bubble, classify,
-                          cubic_barrier, ground_state, thresholds)
+from .variational import (K_MINUS, K_PLUS, bubble, classify, cubic_barrier, ground_state,
+                          thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +101,11 @@ _BUBBLE_STEPPER = dict(dt=5e-5, t_end=2.0)
 _BUBBLE = InitialData(family="bubble", amplitude=1.2600000000000002)
 
 
-def find_kminus_amplitude(grid: RadialGrid, th: Thresholds = BUBBLE_THRESHOLDS) -> float:
+def find_kminus_amplitude(grid: RadialGrid) -> float:
     """Smallest _BUBBLE amplitude (0.01 steps) with k < 0 and energy below ec_w."""
     for a in np.arange(1.05, 2.0, 0.01):
         u = build_initial(grid, replace(_BUBBLE, amplitude=float(a)))
-        cls = classify(u, th)
-        if cls.tag == K_MINUS:
+        if classify(u).tag == K_MINUS:
             return float(a)
     raise ContractError("no KMinus amplitude found in the scanned range")
 
@@ -162,6 +160,8 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path) -> dict:
     if sw.include_bubble:
         points.append((_BUBBLE_GRID, replace(stepper, sponge=False, **_BUBBLE_STEPPER), _BUBBLE))
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a parallel sweep
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_sweep_point, points))
     else:
@@ -356,8 +356,9 @@ _EXIT_STATUS = {0: "ok", 1: "config error", 2: "numerical failure", 3: "selftest
 
 
 def _file_stamps(out: Path) -> dict[str, tuple[int, int, int]]:
-    """(inode, size, mtime) of each file in ``out``; writing a file changes its stamp."""
-    stats = {p.name: p.stat() for p in out.iterdir() if p.is_file()}
+    """(inode, size, mtime) of each file under ``out``, keyed by its relative POSIX path;
+    writing a file changes its stamp."""
+    stats = {p.relative_to(out).as_posix(): p.stat() for p in out.rglob("*") if p.is_file()}
     return {name: (st.st_ino, st.st_size, st.st_mtime_ns) for name, st in stats.items()}
 
 

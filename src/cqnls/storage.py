@@ -66,7 +66,10 @@ def write_json(path, obj: dict) -> None:
 
 
 def config_hash(config_dict: dict) -> str:
-    canonical = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
+    """SHA-256 of what the run computes: the config without ``out_dir`` and ``workers``,
+    which move no artifact byte."""
+    computed = {k: v for k, v in config_dict.items() if k not in ("out_dir", "workers")}
+    canonical = json.dumps(computed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

@@ -8,9 +8,10 @@ ec_W = kinetic(W)/3 ~= 4.2737.
 
 W is not square-integrable (|W| ~ sqrt(3)/r), so dynamical experiments use
 cutoff bubbles.  Classification measures against the closed forms
-(BUBBLE_THRESHOLDS).  The threshold integrals converge absolutely
-(integrands decay like r^-4 and r^-6), and ``thresholds(grid)`` takes them
-by quadrature on a large grid without a cutoff, as a check.
+GROUND_STATE_ENERGY_C and GROUND_STATE_KINETIC and takes no thresholds.
+The threshold integrals converge absolutely (integrands decay like r^-4 and
+r^-6), and ``thresholds(grid)`` takes them by quadrature on a large grid
+without a cutoff, only as a check of the closed forms.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .errors import AccuracyError, ContractError, ResolutionError
 from .functionals import (
     GROUND_STATE_ENERGY_C,
     GROUND_STATE_KINETIC,
-    GROUND_STATE_L6,
-    SHARP_SOBOLEV_C3,
     FunctionalReport,
     report,
 )
@@ -49,22 +48,17 @@ def ground_state(grid: RadialGrid) -> RadialField:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """The bubble norms a classification measures against.
+    """The bubble norms by quadrature on one grid, as ``thresholds(grid)`` gives them.
 
-    BUBBLE_THRESHOLDS holds the closed forms; ``thresholds(grid)`` gives the
-    quadrature values on one grid, where grad_w_sq and w_l6 agree up to
-    domain truncation (the kinetic integrand has an r^-4 tail, so the ball
-    of radius r_max misses ~ 12*pi/r_max).
+    A check of the closed forms, not an input of ``classify``: grad_w_sq and
+    w_l6 agree up to domain truncation (the kinetic integrand has an r^-4
+    tail, so the ball of radius r_max misses ~ 12*pi/r_max).
     """
 
     grad_w_sq: float
     w_l6: float
     ec_w: float
     c3: float
-
-
-BUBBLE_THRESHOLDS = Thresholds(GROUND_STATE_KINETIC, GROUND_STATE_L6, GROUND_STATE_ENERGY_C,
-                               SHARP_SOBOLEV_C3)
 
 
 def thresholds(grid: RadialGrid) -> Thresholds:
@@ -98,10 +92,10 @@ class Classification:
     kbar_agrees: bool  # K-sign test and gradient-comparison test coincide
 
 
-def classify(u: RadialField, th: Thresholds = BUBBLE_THRESHOLDS) -> Classification:
+def classify(u: RadialField) -> Classification:
     rep = report(u)
-    energy_margin = th.ec_w - rep.energy
-    grad_margin = th.grad_w_sq - rep.kinetic
+    energy_margin = GROUND_STATE_ENERGY_C - rep.energy
+    grad_margin = GROUND_STATE_KINETIC - rep.kinetic
     if energy_margin <= 0:
         tag = ABOVE_THRESHOLD
     elif rep.k >= 0:
@@ -185,14 +179,11 @@ def cubic_barrier(y0: float, delta0: float) -> float:
 
 __all__ = [
     "ABOVE_THRESHOLD",
-    "BUBBLE_THRESHOLDS",
     "Classification",
     "GROUND_STATE_ENERGY_C",
     "GROUND_STATE_KINETIC",
-    "GROUND_STATE_L6",
     "K_MINUS",
     "K_PLUS",
-    "SHARP_SOBOLEV_C3",
     "Thresholds",
     "classify",
     "bubble",

@@ -95,16 +95,16 @@ def test_criterion_2_conservation(kplus_run):
           f"mass_drift={mass_drift:.2e}/t energy_drift={energy_drift:.2e}/t")
 
 
-def test_criterion_3_coercivity_ceiling(kplus_run, th1024):
+def test_criterion_3_coercivity_ceiling(kplus_run):
     u0, _, traj, _ = kplus_run
-    assert classify(u0, th1024).tag == K_PLUS
+    assert classify(u0).tag == K_PLUS
     y = traj.series["kinetic"] / GROUND_STATE_KINETIC
     e0 = traj.series["energy"][0]
-    delta0 = 1.0 - e0 / th1024.ec_w
+    delta0 = 1.0 - e0 / GROUND_STATE_ENERGY_C
     ybar = cubic_barrier(float(y[0]), delta0)
     ok = bool(np.max(y) < 1.0 and np.max(y) < ybar)
     _line(3, "kinetic ceiling below barrier", ok,
-          f"max_y={np.max(y):.6f} barrier={ybar:.6f} delta0={delta0:.4f}")
+          f"max_y={np.max(y):#.9g} barrier={ybar:#.9g} delta0={delta0:.4f}")
 
 
 def test_criterion_4_scaling_identities(fine_grid, grid_default):
@@ -146,7 +146,7 @@ def test_criterion_5_classification_equivalence(grid128, th1024):
     excluded = 0
     minus_side = 0
     for u in fields:
-        cls = classify(u, th1024)
+        cls = classify(u)
         tol = 1e-6 * (cls.report.kinetic + cls.report.l6 + cls.report.l4 + 1)
         if abs(cls.k_value) < 10 * tol or abs(cls.grad_margin) < 10 * tol:
             excluded += 1
@@ -184,15 +184,15 @@ def test_criterion_6_morawetz_identity():
           f"coarse {res_c:.2e}->{res_c2:.2e}")
 
 
-def test_criterion_7_averaged_l6_scaling(scaling_study, th1024):
+def test_criterion_7_averaged_l6_scaling(scaling_study):
     u0, (rows, slope, _) = scaling_study
-    assert classify(u0, th1024).tag == K_PLUS
+    assert classify(u0).tag == K_PLUS
     ok = -0.85 <= slope <= -0.45
     _line(7, "averaged local-L6 decay rate", ok,
           "slope=%.3f averages=%s" % (slope, ["%.3e" % row["average"] for row in rows]))
 
 
-def test_criterion_7_kinetic_ceiling_on_scaling_run(scaling_study, th1024):
+def test_criterion_7_kinetic_ceiling_on_scaling_run(scaling_study):
     # every KPlus run in the suite keeps its kinetic ratio below 1
     _, (_, _, trajs) = scaling_study
     y_max = float(np.max(trajs[0].series["kinetic"]) / GROUND_STATE_KINETIC)

@@ -1,7 +1,11 @@
 """Config parsing round-trips, CLI surface, persistence, reproducibility."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -532,8 +536,6 @@ def test_morawetz_runs_derive_from_the_stepper_section(tmp_path, monkeypatch):
 
 
 def test_sweep_bubble_row_needs_no_amplitude_scan(tmp_path, monkeypatch):
-    from dataclasses import replace
-
     from cqnls import experiments
     from cqnls.config import GridSpec, InitialData, SweepSpec
     from cqnls.dynamics import StepperConfig
@@ -597,6 +599,36 @@ def test_sweep_workers_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+# a fresh interpreter importing cqnls, cqnls.experiments and cqnls.cli; prints
+# whether the process pool of a parallel sweep was loaded with them
+_FRESH_IMPORT = """
+import json, sys
+import cqnls, cqnls.cli, cqnls.experiments
+print(json.dumps(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules)))
+"""
+
+
+def test_cqnls_imports_no_process_pool():
+    """concurrent.futures is imported by a sweep with workers > 1, not by importing cqnls."""
+    import cqnls
+
+    src = str(Path(cqnls.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == []
+
+
+def test_experiment_names_are_the_registry():
+    """A name that config validation accepts but run() cannot dispatch would surface as a
+    KeyError inside run, reported as a numerical failure."""
+    from cqnls.config import EXPERIMENTS
+    from cqnls.experiments import REGISTRY
+
+    assert EXPERIMENTS == tuple(REGISTRY)
+
+
 def test_classify_experiment(tmp_path):
     cfgfile = tmp_path / "cl.json"
     cfgfile.write_text(json.dumps({
@@ -656,10 +688,10 @@ def test_tuple_fields_parse_lists_and_strings():
 
 # the manifest's config_hash of each shipped config; a refactor must not move them
 _SHIPPED_CONFIG_HASHES = {
-    "dichotomy.ini": "ea939c25c1ece2cef49e09a5170e82763a3e1f7d8093db8a32fb0b0b9b1f3e0b",
-    "free_decay.ini": "cdeaa433be412758db6db34c3d7c699f67c26a58f64463cb72bb7a978b4e8f37",
-    "morawetz_scaling.json": "f5a56caa91742d40e739d9cbe74507e843891e3ef74213b90164ee76831cd96f",
-    "thresholds.ini": "e021828fdb6cb6e0bc6d1d36368e5d85a8a4e8ee9097a40d28e131807a6bb255",
+    "dichotomy.ini": "5c00ee47a0207a758fe6ecfdd18f30b0a9a8a53699de50209b196fad66fc7d5d",
+    "free_decay.ini": "a4fd085d4d49ec1f88f69a0fdd9fbe52935fc2ea38430b51eaad2b6a07ca4075",
+    "morawetz_scaling.json": "fed69da956434412d29ace0f2fc67db3ff4939204b8d2a6188338c1b04e8ee6f",
+    "thresholds.ini": "778359125023c781bd822240b9cfa3b2af0e7dd5846ef27d65b69ec61385bec1",
 }
 
 
@@ -676,6 +708,10 @@ def test_shipped_configs_load():
         assert config_hash(cfg.to_dict()) == _SHIPPED_CONFIG_HASHES[path.name], path.name
 
 
+_SNAPSHOTS = ["snapshots/t00000.000000.npy", "snapshots/t00000.000000.npy.json",
+              "snapshots/t00000.002000.npy", "snapshots/t00000.002000.npy.json"]
+
+
 def test_manifest_lists_only_this_runs_files(tmp_path):
     """Files left by earlier runs and manifest.json itself are not this run's artifacts."""
     out = tmp_path / "o"
@@ -686,7 +722,8 @@ def test_manifest_lists_only_this_runs_files(tmp_path):
     cfgfile.write_text(json.dumps(good))
     assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
     manifest_path = out / "evolve" / "manifest.json"
-    assert json.loads(manifest_path.read_text())["artifacts"] == ["outcome.json", "series.csv"]
+    assert json.loads(manifest_path.read_text())["artifacts"] == [
+        "outcome.json", "series.csv", *_SNAPSHOTS]
 
     cfgfile.write_text(json.dumps(dict(base, stepper={"dt": 1e-3, "t_end": 2e-3,
                                                       "evacuation_radius": 40.0})))
@@ -695,7 +732,44 @@ def test_manifest_lists_only_this_runs_files(tmp_path):
 
     cfgfile.write_text(json.dumps(good))
     assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
-    assert json.loads(manifest_path.read_text())["artifacts"] == ["outcome.json", "series.csv"]
+    assert json.loads(manifest_path.read_text())["artifacts"] == [
+        "outcome.json", "series.csv", *_SNAPSHOTS]
+
+
+def test_manifest_lists_this_runs_snapshots_not_stale_ones(tmp_path):
+    """A rerun with a coarser snapshot stride into the same --out lists the snapshots it
+    wrote and not the two an earlier run left beside them."""
+    out = tmp_path / "o"
+    cfgfile = tmp_path / "ev.json"
+    for stride in (1, 2):
+        cfgfile.write_text(json.dumps({
+            "experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+            "initial": {"family": "gaussian", "amplitude": 0.3},
+            "stepper": {"dt": 1e-3, "t_end": 4e-3, "snapshot_stride": stride}}))
+        assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
+    snapdir = out / "evolve" / "snapshots"
+    assert len(list(snapdir.glob("*.npy"))) == 5
+    written = [f"snapshots/t00000.00{k}000.npy{ext}" for k in (0, 2, 4) for ext in ("", ".json")]
+    manifest = json.loads((out / "evolve" / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["outcome.json", "series.csv", *written]
+
+
+def test_config_hash_ignores_out_dir_and_workers(tmp_path):
+    """config_hash names what the run computes: two --out directories and two worker
+    counts of one config record one hash."""
+    from cqnls.storage import config_hash
+
+    cfgfile = tmp_path / "cl.json"
+    cfgfile.write_text(json.dumps({"experiment": "classify", "grid": {"r_max": 16.0, "n": 255},
+                                   "initial": {"family": "gaussian", "amplitude": 0.1}}))
+    hashes = set()
+    for name in ("o1", "o2"):
+        out = tmp_path / name
+        assert main(["classify", "--config", str(cfgfile), "--out", str(out)]) == 0
+        hashes.add(json.loads((out / "classify" / "manifest.json").read_text())["config_hash"])
+    cfg = load_config(cfgfile)
+    hashes.add(config_hash(replace(cfg, workers=2).to_dict()))
+    assert hashes == {config_hash(cfg.to_dict())}
 
 
 def test_too_short_morawetz_run_is_a_config_error(tmp_path):

@@ -201,16 +201,16 @@ def test_evolve_scattering():
     assert np.max(y) < 1.0
 
 
-def test_evolve_blowup(th1024):
+def test_evolve_blowup():
     import cqnls.dynamics as dyn
     from cqnls.config import InitialData
     from cqnls.experiments import build_initial, find_kminus_amplitude
     from cqnls.variational import classify
 
     grid = RadialGrid(64.0, 2**14 - 1)
-    a = find_kminus_amplitude(grid, th1024)
+    a = find_kminus_amplitude(grid)
     u0 = build_initial(grid, InitialData(family="bubble", amplitude=a, scale=16.0, cutoff=10.0))
-    assert classify(u0, th1024).tag == "KMinus"
+    assert classify(u0).tag == "KMinus"
     cfg = StepperConfig(dt=5e-5, t_end=10.0, snapshot_stride=10**9)
     traj, outcome = evolve(u0, cfg)
     assert outcome.tag == BLEW_UP

@@ -84,11 +84,11 @@ def test_report_scaling_homogeneity(c):
     assert r2.l6 == pytest.approx(c**6 * r1.l6, rel=1e-12)
 
 
-def test_sharp_sobolev_sampled(grid64, grid_bubble, th1024):
+def test_sharp_sobolev_sampled(grid64, grid_bubble):
     rng = np.random.default_rng(4)
     for _ in range(50):
         rep = report(random_smooth_field(grid64, rng))
-        assert rep.l6 <= th1024.c3 * rep.kinetic**3 * (1 + 1e-6)
+        assert rep.l6 <= SHARP_SOBOLEV_C3 * rep.kinetic**3 * (1 + 1e-6)
     w = report(RadialField(grid_bubble, (1 + grid_bubble.nodes**2 / 3.0) ** -0.5))
     ratio = w.l6 / (SHARP_SOBOLEV_C3 * w.kinetic**3)
     assert ratio == pytest.approx(1.0, abs=1e-2)

@@ -1,5 +1,7 @@
 """Ground-state bubble, thresholds, classification, scalings, cubic barrier."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from cqnls.functionals import GROUND_STATE_ENERGY_C, GROUND_STATE_KINETIC, repor
 from cqnls.grid import RadialField, RadialGrid, laplacian
 from cqnls.variational import (
     ABOVE_THRESHOLD,
-    BUBBLE_THRESHOLDS,
     K_MINUS,
     K_PLUS,
     bubble,
@@ -75,35 +76,35 @@ def test_thresholds_grid_refinement():
     assert abs(b.grad_w_sq - a.grad_w_sq) / a.grad_w_sq < 0.002
 
 
-def test_classify_small_gaussian(grid64, th1024):
-    cls = classify(RadialField(grid64, 0.1 * gaussian(grid64).values), th1024)
+def test_classify_small_gaussian(grid64):
+    cls = classify(RadialField(grid64, 0.1 * gaussian(grid64).values))
     assert cls.tag == K_PLUS
     assert cls.report.energy == pytest.approx(0.029547856527097828, abs=1e-4)
     assert cls.kbar_agrees
 
 
-def test_classify_unit_gaussian_below_threshold(grid64, th1024):
+def test_classify_unit_gaussian_below_threshold(grid64):
     # E(e^{-r^2}) ~= 3.064 sits below ec_W ~= 4.274 with k > 0
-    cls = classify(gaussian(grid64), th1024)
+    cls = classify(gaussian(grid64))
     assert cls.tag == K_PLUS
     assert cls.energy_margin > 0
     assert cls.kbar_agrees
 
 
-def test_classify_above_threshold(grid64, th1024):
-    cls = classify(gaussian(grid64, amplitude=1.4), th1024)
+def test_classify_above_threshold(grid64):
+    cls = classify(gaussian(grid64, amplitude=1.4))
     assert cls.tag == ABOVE_THRESHOLD
     assert cls.energy_margin <= 0
 
 
-def test_classify_bubble_kminus(th1024):
+def test_classify_bubble_kminus():
     from cqnls.config import InitialData
     from cqnls.experiments import build_initial, find_kminus_amplitude
 
     grid = RadialGrid(64.0, 2**14 - 1)
-    a = find_kminus_amplitude(grid, th1024)
+    a = find_kminus_amplitude(grid)
     u = build_initial(grid, InitialData(family="bubble", amplitude=a, scale=16.0, cutoff=10.0))
-    cls = classify(u, th1024)
+    cls = classify(u)
     assert cls.tag == K_MINUS
     assert cls.k_value < 0 and cls.energy_margin > 0
     assert cls.kbar_agrees  # kinetic exceeds the bubble's
@@ -119,7 +120,7 @@ def test_classification_equivalence_sampled(grid128, th1024):
     """sign(k) >= 0 iff kinetic <= ||grad W||^2, below the threshold."""
     rng = np.random.default_rng(11)
     for u in sample_below_threshold(grid128, rng, 100, th1024.ec_w):
-        cls = classify(u, th1024)
+        cls = classify(u)
         tol = 1e-6 * (cls.report.kinetic + cls.report.l6 + cls.report.l4 + 1)
         if abs(cls.k_value) < 10 * tol or abs(cls.grad_margin) < 10 * tol:
             continue
@@ -222,9 +223,13 @@ def test_cubic_barrier_errors():
 
 @pytest.mark.parametrize("amplitude", [0.1, 1.0, 1.4])
 def test_classify_defaults_to_closed_forms(grid64, amplitude):
+    """classify takes the field alone and measures it against the closed forms."""
+    from cqnls.experiments import find_kminus_amplitude
+
+    assert list(inspect.signature(classify).parameters) == ["u"]
+    assert list(inspect.signature(find_kminus_amplitude).parameters) == ["grid"]
     u = gaussian(grid64, amplitude=amplitude)
     cls = classify(u)
-    assert cls == classify(u, BUBBLE_THRESHOLDS)
     assert cls.energy_margin == GROUND_STATE_ENERGY_C - report(u).energy
     assert cls.grad_margin == GROUND_STATE_KINETIC - report(u).kinetic
 
