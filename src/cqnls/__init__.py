@@ -20,7 +20,6 @@ from .functionals import (
 )
 from .variational import (
     Classification,
-    Thresholds,
     classify,
     cubic_barrier,
     ground_state,

@@ -101,6 +101,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        steps = round(self.stepper.t_end / self.stepper.dt)
+        if self.experiment == "morawetz" and steps % 4:
+            # its T-scaling rows step t_end/4 and t_end/2
+            raise ConfigError(f"morawetz needs t_end {self.stepper.t_end} to be a multiple of "
+                              f"4 steps of dt {self.stepper.dt}, got {steps} steps")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -220,7 +220,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     series = {k: np.zeros(n_steps + 1) for k in names}
     times = np.arange(n_steps + 1) * dt
 
-    v = u0.values.astype(complex).copy()
+    v = u0.values.astype(complex)
     snapshots = [RadialField(grid, v.copy())]
     snap_times = [0.0]
 

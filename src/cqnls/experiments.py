@@ -9,6 +9,7 @@ additionally records wall time, versions and the run's memory cost.
 
 from __future__ import annotations
 
+import math
 import resource
 import time
 import traceback
@@ -54,14 +55,14 @@ def build_initial(grid: RadialGrid, spec: InitialData) -> RadialField:
 # experiments
 
 def run_thresholds(cfg: ExperimentConfig, out: Path) -> dict:
-    th = thresholds(cfg.grid)
+    rep = thresholds(cfg.grid)
     w = ground_state(cfg.grid)
     residual = float(np.max(np.abs(-laplacian(w).values - w.values**5)))
     summary = {
-        "grad_w_sq": th.grad_w_sq,
-        "w_l6": th.w_l6,
-        "ec_w": th.ec_w,
-        "c3": th.c3,
+        "grad_w_sq": rep.kinetic,
+        "w_l6": rep.l6,
+        "ec_w": rep.energy_c,
+        "c3": rep.kinetic**-2,
         "elliptic_residual": residual,
     }
     storage.write_json(out / "thresholds.json", summary)
@@ -196,7 +197,12 @@ def run_morawetz(cfg: ExperimentConfig, out: Path) -> dict:
     R_w = cfg.stepper.morawetz_radius or 8.0
     w = weight_build(R_w)
 
-    ident_cfg = replace(cfg.stepper, t_end=min(2.0, cfg.stepper.t_end), snapshot_stride=10**9,
+    # the identity run stops at the last whole step that passes neither t = 2 nor t_end
+    dt, horizon = cfg.stepper.dt, min(2.0, cfg.stepper.t_end)
+    steps = horizon / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:  # StepperConfig's tolerance
+        horizon = math.floor(steps) * dt
+    ident_cfg = replace(cfg.stepper, t_end=horizon, snapshot_stride=10**9,
                         sponge=False, morawetz_radius=R_w)
     ident_traj, _ = evolve(u0, ident_cfg)
     residual = identity_residual(ident_traj, w)
@@ -315,10 +321,10 @@ def _selftest_checks(seed: int):
     rev = np.max(np.abs(back.values - u.values))
     yield "time_reversal", rev <= 1e-10, f"{rev:.2e}"
 
-    th = thresholds(RadialGrid(512.0, 2**15 - 1))
-    ok = (abs(th.grad_w_sq - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC
-          and abs(th.w_l6 - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC)
-    yield "thresholds", ok, f"grad_w_sq={th.grad_w_sq:.4f}"
+    w_rep = thresholds(RadialGrid(512.0, 2**15 - 1))
+    ok = (abs(w_rep.kinetic - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC
+          and abs(w_rep.l6 - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC)
+    yield "thresholds", ok, f"grad_w_sq={w_rep.kinetic:.4f}"
 
     root = cubic_barrier(0.0, 0.5)
     yield "cubic_barrier", abs(root - 0.3472963553338607) <= 1e-10, f"{root:.10f}"

@@ -29,7 +29,6 @@ from .grid import FieldDerivative, RadialField, RadialGrid, integrate_ball, radi
 # of the sharp Sobolev inequality l6 <= C3 * kinetic^3.  Both the kinetic norm
 # and the L^6 norm of W equal 3*sqrt(3)*pi^2/4.
 GROUND_STATE_KINETIC = 0.75 * math.sqrt(3.0) * math.pi**2
-GROUND_STATE_L6 = GROUND_STATE_KINETIC
 GROUND_STATE_ENERGY_C = GROUND_STATE_KINETIC / 3.0
 SHARP_SOBOLEV_C3 = GROUND_STATE_KINETIC**-2
 

@@ -11,7 +11,9 @@ cutoff bubbles.  Classification measures against the closed forms
 GROUND_STATE_ENERGY_C and GROUND_STATE_KINETIC and takes no thresholds.
 The threshold integrals converge absolutely (integrands decay like r^-4 and
 r^-6), and ``thresholds(grid)`` takes them by quadrature on a large grid
-without a cutoff, only as a check of the closed forms.
+without a cutoff, only as a check of the closed forms: it returns
+``report(ground_state(grid))``, whose kinetic, l6 and energy_c are the
+quadrature ||grad W||^2, ||W||_6^6 and ec_W.
 """
 
 from __future__ import annotations
@@ -46,23 +48,11 @@ def ground_state(grid: RadialGrid) -> RadialField:
     return RadialField(grid, bubble(grid.nodes))
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """The bubble norms by quadrature on one grid, as ``thresholds(grid)`` gives them.
-
-    A check of the closed forms, not an input of ``classify``: grad_w_sq and
-    w_l6 agree up to domain truncation (the kinetic integrand has an r^-4
-    tail, so the ball of radius r_max misses ~ 12*pi/r_max).
-    """
-
-    grad_w_sq: float
-    w_l6: float
-    ec_w: float
-    c3: float
-
-
-def thresholds(grid: RadialGrid) -> Thresholds:
-    """The bubble norms by quadrature on ``grid``: a check of the closed forms."""
+def thresholds(grid: RadialGrid) -> FunctionalReport:
+    """``report(ground_state(grid))``, the bubble norms by quadrature on ``grid``: a
+    check of the closed forms.  Its kinetic and l6 agree up to domain truncation
+    (the kinetic integrand has an r^-4 tail, so the ball of radius r_max misses
+    ~ 12*pi/r_max)."""
     if grid.r_max < 100.0:
         raise AccuracyError(
             f"r_max = {grid.r_max} is too small for the slowly decaying bubble; "
@@ -70,14 +60,12 @@ def thresholds(grid: RadialGrid) -> Thresholds:
             "(need r_max >= 100)"
         )
     rep = report(ground_state(grid))
-    th = Thresholds(grad_w_sq=rep.kinetic, w_l6=rep.l6, ec_w=rep.energy_c,
-                    c3=rep.kinetic**-2)
-    if abs(th.grad_w_sq - th.w_l6) > 1e-2 * th.grad_w_sq:
+    if abs(rep.kinetic - rep.l6) > 1e-2 * rep.kinetic:
         raise AccuracyError(
             f"bubble norms disagree beyond tolerance on this grid: "
-            f"kinetic {th.grad_w_sq:.5f} vs l6 {th.w_l6:.5f}"
+            f"kinetic {rep.kinetic:.5f} vs l6 {rep.l6:.5f}"
         )
-    return th
+    return rep
 
 
 @dataclass
@@ -184,7 +172,6 @@ __all__ = [
     "GROUND_STATE_KINETIC",
     "K_MINUS",
     "K_PLUS",
-    "Thresholds",
     "classify",
     "bubble",
     "cubic_barrier",

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqnls.config import ExperimentConfig, GridSpec, InitialData, load_config
+from cqnls.config import ExperimentConfig, InitialData, load_config
 from cqnls.dynamics import BLEW_UP, SCATTERED, StepperConfig, evolve
 from cqnls.experiments import averaged_l6_scaling, build_initial, free_decay_study, run_dichotomy
 from cqnls.functionals import GROUND_STATE_ENERGY_C, GROUND_STATE_KINETIC, report
@@ -69,18 +69,18 @@ def test_criterion_1_ground_state_identities(th1024):
     # oracle: trig substitution r = sqrt(3) tan(theta) gives
     # ||grad W||^2 = ||W||_6^6 = 3 sqrt(3) pi^2 / 4 and ec_W = a third of it
     ok = (
-        abs(th1024.grad_w_sq - th1024.w_l6) <= 0.01 * th1024.grad_w_sq
-        and abs(th1024.grad_w_sq - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC
-        and abs(th1024.w_l6 - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC
-        and abs(th1024.ec_w - GROUND_STATE_ENERGY_C) <= 0.01 * GROUND_STATE_ENERGY_C
+        abs(th1024.kinetic - th1024.l6) <= 0.01 * th1024.kinetic
+        and abs(th1024.kinetic - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC
+        and abs(th1024.l6 - GROUND_STATE_KINETIC) <= 0.01 * GROUND_STATE_KINETIC
+        and abs(th1024.energy_c - GROUND_STATE_ENERGY_C) <= 0.01 * GROUND_STATE_ENERGY_C
     )
     grid = RadialGrid(1024.0, 2**16 - 1)
     w = ground_state(grid)
     residual = float(np.max(np.abs(-laplacian(w).values - w.values**5)))
     ok = ok and residual <= 1e-5
     _line(1, "ground-state identities", ok,
-          f"grad_w_sq={th1024.grad_w_sq:.4f} w_l6={th1024.w_l6:.4f} "
-          f"ec_w={th1024.ec_w:.4f} elliptic_residual={residual:.2e}")
+          f"grad_w_sq={th1024.kinetic:.4f} w_l6={th1024.l6:.4f} "
+          f"ec_w={th1024.energy_c:.4f} elliptic_residual={residual:.2e}")
 
 
 def test_criterion_2_conservation(kplus_run):
@@ -141,7 +141,7 @@ def test_criterion_4_scaling_identities(fine_grid, grid_default):
 
 def test_criterion_5_classification_equivalence(grid128, th1024):
     rng = np.random.default_rng(101)
-    fields = sample_below_threshold(grid128, rng, 500, th1024.ec_w)
+    fields = sample_below_threshold(grid128, rng, 500, th1024.energy_c)
     counterexamples = 0
     excluded = 0
     minus_side = 0
@@ -201,7 +201,7 @@ def test_criterion_7_kinetic_ceiling_on_scaling_run(scaling_study):
 
 def test_criterion_8_dichotomy(tmp_path):
     cfg = ExperimentConfig(experiment="dichotomy-sweep")
-    cfg.grid = GridSpec(r_max=128.0, n=2047)
+    cfg.grid = RadialGrid(r_max=128.0, n=2047)
     cfg.stepper = StepperConfig(dt=2e-3, t_end=20.0, sponge=True,
                                 evacuation_radius=10.0, evacuation_epsilon=0.3)
     summary = run_dichotomy(cfg, tmp_path)
@@ -227,7 +227,7 @@ def test_criterion_8_dichotomy(tmp_path):
 
 def test_criterion_9_dispersive_decay(tmp_path):
     cfg = ExperimentConfig(experiment="free-decay")
-    cfg.grid = GridSpec(r_max=256.0, n=2**13 - 1)
+    cfg.grid = RadialGrid(r_max=256.0, n=2**13 - 1)
     cfg.initial = InitialData(family="gaussian", amplitude=1.0, width=1.0)
     res = free_decay_study(cfg, tmp_path)
     norms = [res["norms"][k] for k in ("10.0", "20.0", "40.0", "80.0")]

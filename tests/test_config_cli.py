@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqnls.cli import main
-from cqnls.config import (ExperimentConfig, GridSpec, InitialData, SweepSpec, from_dict,
-                          load_config)
+from cqnls.config import ExperimentConfig, InitialData, SweepSpec, from_dict, load_config
 from cqnls.dynamics import StepperConfig
 from cqnls.errors import ConfigError, ContractError
 from cqnls.experiments import build_initial, free_decay_study
@@ -56,7 +55,7 @@ def test_ini_sets_every_field_kind(tmp_path):
     )
     assert load_config(path) == ExperimentConfig(
         experiment="dichotomy-sweep", out_dir="runs/a", seed=3, workers=2,
-        grid=GridSpec(r_max=64.0, n=2047),
+        grid=RadialGrid(r_max=64.0, n=2047),
         initial=InitialData(family="gaussian-mix", amplitudes=(0.5, 0.25), widths=(1.0, 4.0),
                             path="data/u0.npy"),
         stepper=StepperConfig(dt=2e-3, t_end=0.5, snapshot_stride=50, sponge=True,
@@ -223,7 +222,10 @@ def test_cli_thresholds(tmp_path):
     code = main(["thresholds", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert code == 0
     got = json.loads((tmp_path / "o" / "thresholds" / "thresholds.json").read_text())
+    assert set(got) == {"grad_w_sq", "w_l6", "ec_w", "c3", "elliptic_residual"}
     assert got["grad_w_sq"] == pytest.approx(12.7474, abs=0.01)
+    assert got["c3"] == got["grad_w_sq"] ** -2
+    assert got["ec_w"] == got["grad_w_sq"] / 2 - got["w_l6"] / 6
     assert (tmp_path / "o" / "thresholds" / "manifest.json").exists()
 
 
@@ -330,7 +332,7 @@ def test_free_decay_zero_data(tmp_path):
 def test_free_decay_equals_the_snapshot_formula(tmp_path):
     """The study's exponent and norms are bitwise those of a fit over 37 separately
     propagated times and of an L^4_t L^inf_x trapezoid over one snapshot per 0.25."""
-    cfg = ExperimentConfig(experiment="free-decay", grid=GridSpec(r_max=64.0, n=1023),
+    cfg = ExperimentConfig(experiment="free-decay", grid=RadialGrid(r_max=64.0, n=1023),
                            initial=InitialData(amplitude=1.0))
     got = free_decay_study(cfg, tmp_path)
     u0 = build_initial(RadialGrid(64.0, 1023), cfg.initial)
@@ -509,12 +511,11 @@ def test_morawetz_runs_derive_from_the_stepper_section(tmp_path, monkeypatch):
     import dataclasses
 
     from cqnls import experiments
-    from cqnls.config import GridSpec
     from cqnls.dynamics import StepperConfig
 
     stepper = StepperConfig(dt=4e-3, t_end=0.08, sponge=True, evacuation_radius=3.0,
                             evacuation_epsilon=0.2, morawetz_radius=4.0, flux_radius=3.0)
-    cfg = ExperimentConfig(experiment="morawetz", grid=GridSpec(r_max=64.0, n=1023),
+    cfg = ExperimentConfig(experiment="morawetz", grid=RadialGrid(r_max=64.0, n=1023),
                            stepper=stepper)
     seen = []
     real_evolve = experiments.evolve
@@ -537,7 +538,7 @@ def test_morawetz_runs_derive_from_the_stepper_section(tmp_path, monkeypatch):
 
 def test_sweep_bubble_row_needs_no_amplitude_scan(tmp_path, monkeypatch):
     from cqnls import experiments
-    from cqnls.config import GridSpec, InitialData, SweepSpec
+    from cqnls.config import InitialData, SweepSpec
     from cqnls.dynamics import StepperConfig
     from cqnls.grid import RadialGrid
 
@@ -552,7 +553,7 @@ def test_sweep_bubble_row_needs_no_amplitude_scan(tmp_path, monkeypatch):
         raise AssertionError("the sweep scanned for the K- amplitude")
 
     monkeypatch.setattr(experiments, "find_kminus_amplitude", no_scan)
-    cfg = ExperimentConfig(experiment="dichotomy-sweep", grid=GridSpec(r_max=64.0, n=1023),
+    cfg = ExperimentConfig(experiment="dichotomy-sweep", grid=RadialGrid(r_max=64.0, n=1023),
                            stepper=stepper,
                            sweep=SweepSpec(amplitude_start=0.2, amplitude_stop=0.2,
                                            amplitude_step=0.1, include_bubble=True))
@@ -580,11 +581,11 @@ def test_dichotomy_sweep_of_non_gaussian_family_is_a_config_error(tmp_path, caps
 def test_sweep_workers_deterministic(tmp_path):
     from cqnls.config import SweepSpec
     from cqnls.dynamics import StepperConfig
-    from cqnls.config import ExperimentConfig, GridSpec
+    from cqnls.config import ExperimentConfig
     from cqnls.experiments import run_dichotomy
 
     base = dict(
-        grid=GridSpec(r_max=64.0, n=1023),
+        grid=RadialGrid(r_max=64.0, n=1023),
         stepper=StepperConfig(dt=4e-3, t_end=2.0, sponge=True),
         sweep=SweepSpec(amplitude_start=0.2, amplitude_stop=0.6,
                         amplitude_step=0.2, include_bubble=False),
@@ -773,18 +774,58 @@ def test_config_hash_ignores_out_dir_and_workers(tmp_path):
 
 
 def test_too_short_morawetz_run_is_a_config_error(tmp_path):
-    """One step leaves no interior step for the dM/dt residual: exit 1, not 2."""
+    """A one-step identity run (dt 1.5 stops it at t = 1.5, before t = 2) leaves no
+    interior step for the dM/dt residual: exit 1, not 2."""
     cfgfile = tmp_path / "mw.json"
     cfgfile.write_text(json.dumps({
         "experiment": "morawetz",
         "grid": {"r_max": 16.0, "n": 255},
         "initial": {"family": "gaussian", "amplitude": 0.5},
-        "stepper": {"dt": 1e-3, "t_end": 1e-3, "morawetz_radius": 4.0},
+        "stepper": {"dt": 1.5, "t_end": 6.0, "morawetz_radius": 4.0},
     }))
     out = tmp_path / "o"
     assert main(["morawetz", "--config", str(cfgfile), "--out", str(out)]) == 1
     error = (out / "morawetz" / "error.txt").read_text()
     assert "ContractError: need at least three recorded steps" in error
+
+
+def test_morawetz_identity_run_stops_at_a_whole_step(tmp_path):
+    """t = 2 is not a whole number of steps of dt 3e-3: the identity run takes the
+    666 steps to t = 1.998, the last whole step before it."""
+    cfgfile = tmp_path / "mw.json"
+    cfgfile.write_text(json.dumps({
+        "experiment": "morawetz",
+        "grid": {"r_max": 64.0, "n": 1023},
+        "initial": {"family": "gaussian", "amplitude": 0.5},
+        "stepper": {"dt": 3e-3, "t_end": 2.4, "sponge": True, "morawetz_radius": 4.0},
+    }))
+    out = tmp_path / "o"
+    assert main(["morawetz", "--config", str(cfgfile), "--out", str(out)]) == 0
+    series = (out / "morawetz" / "morawetz_series.csv").read_text().splitlines()
+    assert len(series) == 1 + 667
+    assert float(series[-1].split(",")[0]) == pytest.approx(1.998, rel=1e-12)
+    got = json.loads((out / "morawetz" / "averaged_l6.json").read_text())
+    assert len(got["rows"]) == 3
+
+
+def test_morawetz_step_count_not_a_multiple_of_four_is_refused(tmp_path, capsys):
+    """The T-scaling rows step t_end/4 and t_end/2, so 101 steps of dt 1e-2 are refused
+    when the config loads, before any run and without an output directory."""
+    cfgfile = tmp_path / "mw.json"
+    cfgfile.write_text(json.dumps({
+        "experiment": "morawetz",
+        "grid": {"r_max": 64.0, "n": 1023},
+        "initial": {"family": "gaussian", "amplitude": 0.5},
+        "stepper": {"dt": 1e-2, "t_end": 1.01, "morawetz_radius": 4.0},
+    }))
+    out = tmp_path / "o"
+    assert main(["morawetz", "--config", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "t_end 1.01" in err and "dt 0.01" in err
+    assert not out.exists()
+    # the rule is the morawetz experiment's: an evolve of the same stepper loads
+    evolve = from_dict({"experiment": "evolve", "stepper": {"dt": 1e-2, "t_end": 1.01}})
+    assert evolve.stepper.t_end == 1.01
 
 
 @pytest.mark.parametrize("workers", [0, -1, -8])
@@ -819,7 +860,7 @@ def test_sweep_spec_refuses_empty_or_unbounded_ranges(start, stop, step):
 def test_sweep_ignores_diagnostics_and_linear_flow(tmp_path):
     """The sweep steps the nonlinear flow without Morawetz or flux terms, whatever the
     stepper section says; radii beyond the grid would make evolve refuse the run."""
-    from cqnls.config import GridSpec, SweepSpec
+    from cqnls.config import SweepSpec
     from cqnls.dynamics import StepperConfig
     from cqnls.experiments import run_dichotomy
 
@@ -832,7 +873,7 @@ def test_sweep_ignores_diagnostics_and_linear_flow(tmp_path):
     for name, stepper in (("plain", plain), ("extra", extra)):
         out = tmp_path / name
         out.mkdir()
-        cfg = ExperimentConfig(experiment="dichotomy-sweep", grid=GridSpec(r_max=64.0, n=1023),
+        cfg = ExperimentConfig(experiment="dichotomy-sweep", grid=RadialGrid(r_max=64.0, n=1023),
                                stepper=stepper, sweep=sweep)
         run_dichotomy(cfg, out)
         outs.append((out / "sweep.csv").read_bytes())

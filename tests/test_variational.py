@@ -58,11 +58,10 @@ def test_ground_state_elliptic_residual(grid_default):
 
 
 def test_thresholds_against_closed_forms(th1024):
-    assert th1024.grad_w_sq == pytest.approx(GROUND_STATE_KINETIC, rel=1e-2)
-    assert th1024.w_l6 == pytest.approx(GROUND_STATE_KINETIC, rel=1e-2)
-    assert th1024.ec_w == pytest.approx(GROUND_STATE_ENERGY_C, rel=1e-2)
-    assert th1024.c3 == pytest.approx(th1024.grad_w_sq**-2, rel=1e-12)
-    assert th1024.ec_w == pytest.approx(th1024.grad_w_sq / 3, rel=1e-2)
+    assert th1024.kinetic == pytest.approx(GROUND_STATE_KINETIC, rel=1e-2)
+    assert th1024.l6 == pytest.approx(GROUND_STATE_KINETIC, rel=1e-2)
+    assert th1024.energy_c == pytest.approx(GROUND_STATE_ENERGY_C, rel=1e-2)
+    assert th1024.energy_c == pytest.approx(th1024.kinetic / 3, rel=1e-2)
 
 
 def test_thresholds_rejects_small_domain():
@@ -73,7 +72,7 @@ def test_thresholds_rejects_small_domain():
 def test_thresholds_grid_refinement():
     a = thresholds(RadialGrid(512.0, 2**14))
     b = thresholds(RadialGrid(512.0, 2**15))
-    assert abs(b.grad_w_sq - a.grad_w_sq) / a.grad_w_sq < 0.002
+    assert abs(b.kinetic - a.kinetic) / a.kinetic < 0.002
 
 
 def test_classify_small_gaussian(grid64):
@@ -119,7 +118,7 @@ def test_kminus_preset_is_the_scanned_amplitude():
 def test_classification_equivalence_sampled(grid128, th1024):
     """sign(k) >= 0 iff kinetic <= ||grad W||^2, below the threshold."""
     rng = np.random.default_rng(11)
-    for u in sample_below_threshold(grid128, rng, 100, th1024.ec_w):
+    for u in sample_below_threshold(grid128, rng, 100, th1024.energy_c):
         cls = classify(u)
         tol = 1e-6 * (cls.report.kinetic + cls.report.l6 + cls.report.l4 + 1)
         if abs(cls.k_value) < 10 * tol or abs(cls.grad_margin) < 10 * tol:
@@ -237,9 +236,7 @@ def test_classify_defaults_to_closed_forms(grid64, amplitude):
 def test_thresholds_are_the_report_of_the_ground_state():
     """The quadrature check reads its norms from the one diagnostics pass."""
     grid = RadialGrid(512.0, 2**14)
-    th, rep = thresholds(grid), report(ground_state(grid))
-    assert (th.grad_w_sq, th.w_l6, th.ec_w) == (rep.kinetic, rep.l6, rep.energy_c)
-    assert th.c3 == rep.kinetic**-2
+    assert thresholds(grid) == report(ground_state(grid))
 
 
 @pytest.mark.parametrize("amplitude, scale", [(1.0, 1.0), (1.3, 16.0), (0.7, 4.0), (1.8, 0.5)])
