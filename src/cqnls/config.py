@@ -3,6 +3,12 @@
 The on-disk format is a flat-sectioned key-value file (INI); JSON carrying
 the same section/field structure is accepted interchangeably.  Every field
 has a default, and a fully defaulted config runs the selftest experiment.
+
+There is one reader, ``from_dict``.  Its top level is the ``[run]`` section:
+the keys ``experiment``, ``out_dir``, ``seed`` and ``workers``, beside one
+object per section.  It builds each section, then the run itself, with
+``_build_section``, so every key is checked and coerced the same way.  The
+INI reader only parses, lifting the ``[run]`` keys to the top level.
 """
 
 from __future__ import annotations
@@ -101,11 +107,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
-        steps = round(self.stepper.t_end / self.stepper.dt)
+        steps = self.stepper.steps
         if self.experiment == "morawetz" and steps % 4:
             # its T-scaling rows step t_end/4 and t_end/2
             raise ConfigError(f"morawetz needs t_end {self.stepper.t_end} to be a multiple of "
                               f"4 steps of dt {self.stepper.dt}, got {steps} steps")
+        if self.experiment == "morawetz" and self.stepper.dt > 1:
+            # its identity run steps to t = 2 and needs two steps for its residual
+            raise ConfigError(f"morawetz needs dt at most 1 for its identity run to t = 2, "
+                              f"got dt {self.stepper.dt}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -113,7 +123,6 @@ class ExperimentConfig:
 
 _SECTIONS = {"grid": RadialGrid, "initial": InitialData, "stepper": StepperConfig,
              "sweep": SweepSpec}
-_TOP_LEVEL = ("experiment", "out_dir", "seed", "workers")
 
 
 def _coerce(raw, default):
@@ -138,13 +147,13 @@ def _coerce(raw, default):
         if not isinstance(raw, (list, tuple)):
             raw = [x for x in str(raw).split(",") if x.strip()]
         return tuple(_coerce(x, 0.0) for x in raw)
-    if default is None or isinstance(default, (str, type(None))):
-        if raw in ("", "none", "None", None):
-            return None if default is None else ""
-        if isinstance(default, str):
-            return str(raw)
-        return float(raw)
-    return raw
+    if isinstance(default, str):
+        if not isinstance(raw, str):
+            raise ConfigError(f"expected a string, got {raw!r}")
+        return "" if raw in ("none", "None") else raw
+    if default is None:
+        return None if raw in ("", "none", "None", None) else float(raw)
+    return raw  # a section that from_dict has already built
 
 
 def _coerce_field(raw, default, key: str, where: str):
@@ -160,10 +169,11 @@ def _build_section(cls, mapping: dict, where: str):
                           f"not {type(mapping).__name__}")
     kwargs = {}
     defaults = cls()
-    known = {f.name for f in fields(cls)}
+    known = [f.name for f in fields(cls)]
     for key, raw in mapping.items():
         if key not in known:
-            raise ConfigError(f"unknown key {key!r} in section [{where}]")
+            raise ConfigError(f"unknown key {key!r} in section [{where}]; "
+                              f"known: {', '.join(known)}")
         kwargs[key] = _coerce_field(raw, getattr(defaults, key), key, where)
     try:
         return cls(**kwargs)
@@ -175,18 +185,9 @@ def from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError(f"the config's top level must be an object of sections, "
                           f"not {type(d).__name__}")
-    d = dict(d)
-    kwargs = {}
-    defaults = ExperimentConfig()
-    for name in _TOP_LEVEL:
-        if name in d:
-            kwargs[name] = _coerce_field(d.pop(name), getattr(defaults, name), name, "run")
-    for sec, cls in _SECTIONS.items():
-        if sec in d:
-            kwargs[sec] = _build_section(cls, d.pop(sec), sec)
-    if d:
-        raise ConfigError(f"unknown config sections: {sorted(d)}")
-    return ExperimentConfig(**kwargs)
+    top = {key: _build_section(_SECTIONS[key], raw, key) if key in _SECTIONS else raw
+           for key, raw in d.items()}
+    return _build_section(ExperimentConfig, top, "run")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -204,15 +205,6 @@ def load_config(path) -> ExperimentConfig:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
-    d: dict = {}
-    for sec in parser.sections():
-        if sec == "run":
-            for key, val in parser.items(sec):
-                if key not in _TOP_LEVEL:
-                    raise ConfigError(f"unknown key {key!r} in section [run]")
-                d[key] = val
-        elif sec in _SECTIONS:
-            d[sec] = dict(parser.items(sec))
-        else:
-            raise ConfigError(f"unknown section [{sec}]")
+    d = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+    d.update(d.pop("run", {}))  # a [run] key replaces a section of its name, never loses to it
     return from_dict(d)

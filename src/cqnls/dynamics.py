@@ -92,6 +92,11 @@ class StepperConfig:
             if radius is not None and not (radius > 0 and math.isfinite(radius)):
                 raise ContractError(f"{name} must be positive and finite, or None")
 
+    @property
+    def steps(self) -> int:
+        """The number of steps of dt to t_end."""
+        return round(self.t_end / self.dt)
+
 
 @dataclass
 class Trajectory:
@@ -204,7 +209,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
                             f"node spacing {grid.dr}: its ball holds no node")
     plan = SpectralPlan.for_grid(grid)
     dt = cfg.dt
-    n_steps = round(cfg.t_end / dt)
+    n_steps = cfg.steps
     free = np.exp(-1j * plan.eigenvalues * dt)
     sponge_mult = np.exp(-dt * _sponge_profile(grid)).astype(complex) if cfg.sponge else None
     tail_mask = np.arange(1, grid.n + 1) > (2 * grid.n) // 3
@@ -291,7 +296,7 @@ def judge(traj: Trajectory, trigger: dict) -> RunOutcome:
     late = times >= times[-1] - 0.2 * (times[-1] - times[0]) if times[-1] > 0 else slice(None)
     min_late_l6 = float(np.min(series["l6_local"][late]))
     blew_up = bool(trigger) and trigger["tail_fraction"] > _TAIL_FRACTION_LIMIT
-    finished = len(times) - 1 == round(cfg.t_end / cfg.dt)
+    finished = len(times) - 1 == cfg.steps
     plan = SpectralPlan.for_grid(traj.snapshots[0].grid)
     evidence = {
         "min_local_l6": min_late_l6,

@@ -206,9 +206,9 @@ def run_morawetz(cfg: ExperimentConfig, out: Path) -> dict:
                         sponge=False, morawetz_radius=R_w)
     ident_traj, _ = evolve(u0, ident_cfg)
     residual = identity_residual(ident_traj, w)
-    series_from_trajectory(ident_traj).to_csv(out / "morawetz_series.csv")
 
     rows, slope, _ = averaged_l6_scaling(u0, cfg.stepper)
+    series_from_trajectory(ident_traj).to_csv(out / "morawetz_series.csv")
     summary = {"rows": rows, "fit_slope": slope, "identity_residual": residual,
                "weight_radius": R_w}
     storage.write_json(out / "averaged_l6.json", summary)

@@ -100,6 +100,40 @@ def test_config_errors(tmp_path):
             load_config(bad)
 
 
+@pytest.mark.parametrize("name, text, says", [
+    ("a.ini", "[nosuch]\nx = 1\n", "unknown key 'nosuch' in section [run]; known: experiment,"),
+    ("a.json", '{"foo": 1}', "unknown key 'foo' in section [run]; known: experiment,"),
+    ("a.ini", "[run]\nbogus = 1\n", "unknown key 'bogus' in section [run]; known: experiment,"),
+    ("a.ini", "[run]\ngrid = 5\n\n[grid]\nn = 255\n",
+     "section [grid] must be an object of keys, not str"),
+    ("a.ini", "[run]\nworkers = 0\n", "bad [run] section: workers must be at least 1, got 0"),
+], ids=["ini-section", "json-key", "run-key", "run-key-shadows-section", "run-value"])
+def test_run_keys_are_checked_like_section_keys(tmp_path, capsys, name, text, says):
+    """INI and JSON have one reader, whose top level is the [run] section: an unknown
+    section or [run] key is an unknown [run] key, named beside the accepted names, and
+    a [run] key that names a section replaces it.  Each exits 1 before any output."""
+    cfgfile = tmp_path / name
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    assert main(["thresholds", "--config", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and says in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, says", [
+    ({"out_dir": [1]}, "bad value for 'out_dir' in section [run]: expected a string, got [1]"),
+    ({"experiment": 5}, "bad value for 'experiment' in section [run]: expected a string"),
+    ({"initial": {"path": {"a": 1}}}, "bad value for 'path' in section [initial]"),
+])
+def test_string_fields_take_only_strings(config, says):
+    """A JSON list, object or number is not silently turned into its repr."""
+    with pytest.raises(ConfigError) as info:
+        from_dict(config)
+    assert says in str(info.value)
+    assert from_dict({"out_dir": "runs/a", "initial": {"path": "u0.npy"}}).out_dir == "runs/a"
+
+
 def test_bad_json_reports_location(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"experiment": }')
@@ -773,9 +807,10 @@ def test_config_hash_ignores_out_dir_and_workers(tmp_path):
     assert hashes == {config_hash(cfg.to_dict())}
 
 
-def test_too_short_morawetz_run_is_a_config_error(tmp_path):
-    """A one-step identity run (dt 1.5 stops it at t = 1.5, before t = 2) leaves no
-    interior step for the dM/dt residual: exit 1, not 2."""
+def test_too_short_morawetz_run_is_a_config_error(tmp_path, capsys):
+    """The identity run steps to t = 2 and needs two steps for its dM/dt residual, so a
+    morawetz dt above 1 is refused when the config loads, naming dt and the identity
+    run: exit 1, no output directory."""
     cfgfile = tmp_path / "mw.json"
     cfgfile.write_text(json.dumps({
         "experiment": "morawetz",
@@ -785,8 +820,25 @@ def test_too_short_morawetz_run_is_a_config_error(tmp_path):
     }))
     out = tmp_path / "o"
     assert main(["morawetz", "--config", str(cfgfile), "--out", str(out)]) == 1
-    error = (out / "morawetz" / "error.txt").read_text()
-    assert "ContractError: need at least three recorded steps" in error
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "identity run" in err and "dt 1.5" in err
+    assert not out.exists()
+    # dt = 1 gives the identity run its two steps
+    assert from_dict({"experiment": "morawetz",
+                      "stepper": {"dt": 1.0, "t_end": 4.0}}).stepper.steps == 4
+
+
+def test_refused_morawetz_run_writes_no_series(tmp_path):
+    """A stepper assigned after the config is built skips the load-time checks; the run
+    then fails in its T-scaling rows and leaves no morawetz_series.csv behind."""
+    from cqnls.experiments import run
+
+    cfg = ExperimentConfig(experiment="morawetz", grid=RadialGrid(r_max=64.0, n=1023),
+                           out_dir=str(tmp_path))
+    cfg.stepper = StepperConfig(dt=1e-2, t_end=1.01, morawetz_radius=4.0)
+    assert run(cfg) == 1
+    assert sorted(p.name for p in (tmp_path / "morawetz").iterdir()) == [
+        "error.txt", "manifest.json"]
 
 
 def test_morawetz_identity_run_stops_at_a_whole_step(tmp_path):
