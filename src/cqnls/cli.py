@@ -8,11 +8,10 @@ output root.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
-from .config import EXPERIMENTS, ExperimentConfig, load_config
+from .config import EXPERIMENTS, load_config
 from .errors import ConfigError
 from .experiments import run
 
@@ -25,16 +24,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, help="sweep worker count")
     args = parser.parse_args(argv)
 
+    # the command line's [run] keys replace the file's before the run is built and checked
+    out_dir = args.out or (None if args.config else os.environ.get("CQNLS_OUT_ROOT"))
+    run_keys = {"experiment": args.experiment, "out_dir": out_dir, "workers": args.workers}
     try:
-        cfg = load_config(args.config) if args.config else ExperimentConfig()
-        replacements = {"experiment": args.experiment}
-        if args.out:
-            replacements["out_dir"] = args.out
-        elif not args.config and "CQNLS_OUT_ROOT" in os.environ:
-            replacements["out_dir"] = os.environ["CQNLS_OUT_ROOT"]
-        if args.workers is not None:
-            replacements["workers"] = args.workers
-        cfg = dataclasses.replace(cfg, **replacements)
+        cfg = load_config(args.config, **{k: v for k, v in run_keys.items() if v is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

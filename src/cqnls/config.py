@@ -8,7 +8,8 @@ There is one reader, ``from_dict``.  Its top level is the ``[run]`` section:
 the keys ``experiment``, ``out_dir``, ``seed`` and ``workers``, beside one
 object per section.  It builds each section, then the run itself, with
 ``_build_section``, so every key is checked and coerced the same way.  The
-INI reader only parses, lifting the ``[run]`` keys to the top level.
+INI reader only parses, lifting the ``[run]`` keys to the top level.  Keyword
+``run_keys`` (the command line's) replace the file's ``[run]`` keys first.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
         steps = self.stepper.steps
         if self.experiment == "morawetz" and steps % 4:
             # its T-scaling rows step t_end/4 and t_end/2
@@ -181,30 +184,33 @@ def _build_section(cls, mapping: dict, where: str):
         raise ConfigError(f"bad [{where}] section: {exc}") from exc
 
 
-def from_dict(d: dict) -> ExperimentConfig:
+def from_dict(d: dict, **run_keys) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError(f"the config's top level must be an object of sections, "
                           f"not {type(d).__name__}")
     top = {key: _build_section(_SECTIONS[key], raw, key) if key in _SECTIONS else raw
-           for key, raw in d.items()}
+           for key, raw in {**d, **run_keys}.items()}
     return _build_section(ExperimentConfig, top, "run")
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path=None, **run_keys) -> ExperimentConfig:
+    if path is None:  # a fully defaulted config
+        return from_dict({}, **run_keys)
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
-            return from_dict(json.loads(text))
+            return from_dict(json.loads(text), **run_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text, source=str(path))
+        d = {sec: dict(parser.items(sec)) for sec in parser.sections()}  # items() interpolates
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
-    d = {sec: dict(parser.items(sec)) for sec in parser.sections()}
     d.update(d.pop("run", {}))  # a [run] key replaces a section of its name, never loses to it
-    return from_dict(d)
+    return from_dict(d, **run_keys)

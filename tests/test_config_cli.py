@@ -494,6 +494,8 @@ def test_cli_env_out_root(tmp_path, monkeypatch):
     code = main(["free-decay", "--config", str(cfgfile), "--out", str(tmp_path / "x")])
     assert code == 0
     assert (tmp_path / "x" / "free-decay" / "free_decay.json").exists()
+    assert main(["selftest"]) == 0
+    assert (tmp_path / "envout" / "selftest" / "selftest.json").exists()
 
 
 def test_cli_selftest(tmp_path, capsys):
@@ -643,14 +645,18 @@ print(json.dumps(sorted(m for m in ("concurrent.futures", "multiprocessing") if 
 """
 
 
-def test_cqnls_imports_no_process_pool():
-    """concurrent.futures is imported by a sweep with workers > 1, not by importing cqnls."""
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this cqnls."""
     import cqnls
 
     src = str(Path(cqnls.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    run = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=env,
+
+
+def test_cqnls_imports_no_process_pool():
+    """concurrent.futures is imported by a sweep with workers > 1, not by importing cqnls."""
+    run = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=_fresh_env(),
                          capture_output=True, text=True, check=True)
     assert json.loads(run.stdout) == []
 
@@ -881,12 +887,98 @@ def test_morawetz_step_count_not_a_multiple_of_four_is_refused(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("workers", [0, -1, -8])
-def test_workers_below_one_refused(tmp_path, workers):
-    """No silent serial run: a worker count below 1 is a config error, in a config or on the CLI."""
+def test_workers_below_one_refused(tmp_path, capsys, workers):
+    """No silent serial run: a worker count below 1 is a config error, in a config or on the
+    CLI, and reads the same from either source."""
     with pytest.raises(ConfigError, match="workers"):
         from_dict({"workers": workers})
+    says = f"bad [run] section: workers must be at least 1, got {workers}"
     out = tmp_path / "o"
     assert main(["selftest", "--workers", str(workers), "--out", str(out)]) == 1
+    assert says in capsys.readouterr().err
+    cfgfile = tmp_path / "w.ini"
+    cfgfile.write_text(f"[run]\nworkers = {workers}\n")
+    assert main(["selftest", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert says in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_refused(tmp_path, capsys):
+    """The selftest's generator takes no negative seed, so the config refuses one at load."""
+    with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
+        from_dict({"seed": -1})
+    cfgfile = tmp_path / "s.ini"
+    cfgfile.write_text("[run]\nseed = -1\n")
+    out = tmp_path / "o"
+    assert main(["selftest", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert "config error: bad [run] section: seed must be at least 0, got -1" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+_MORAWETZ_101_STEPS = {
+    "grid": {"r_max": 64.0, "n": 1023},
+    "initial": {"family": "gaussian", "amplitude": 0.5},
+    "stepper": {"dt": 1e-2, "t_end": 1.01, "morawetz_radius": 4.0},
+}
+
+
+def test_cli_experiment_is_the_one_checked(tmp_path, capsys):
+    """The command line's experiment replaces the file's before the run is checked, so an
+    evolve runs from a file that names morawetz with a step count morawetz refuses, and a
+    morawetz run from a file that names evolve is refused at load."""
+    cfgfile = tmp_path / "m.json"
+    cfgfile.write_text(json.dumps(dict(_MORAWETZ_101_STEPS, experiment="morawetz")))
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert (out / "evolve" / "series.csv").exists()
+    assert (out / "evolve" / "outcome.json").exists()
+
+    cfgfile = tmp_path / "e.json"
+    cfgfile.write_text(json.dumps(dict(_MORAWETZ_101_STEPS, experiment="evolve")))
+    out = tmp_path / "m"
+    assert main(["morawetz", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: bad [run] section: morawetz needs ")
+    assert not out.exists()
+
+
+def _unreadable(tmp_path, kind):
+    path = tmp_path / f"{kind}.ini"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"[run]\nout_dir = \xff\xfe\n")
+    elif kind == "percent":  # configparser resolves `%` when a value is read, not at parse
+        path.write_text("[run]\nout_dir = runs/50%\n")
+    return path
+
+
+@pytest.mark.parametrize("kind, says", [
+    ("missing", "cannot read config file {path}: "),
+    ("directory", "cannot read config file {path}: "),
+    ("not-utf8", "cannot read config file {path}: "),
+    ("percent", "'%' must be followed by"),
+])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, kind, says):
+    """A config file that cannot be read as text or INI values exits 1 with no traceback."""
+    path = _unreadable(tmp_path, kind)
+    out = tmp_path / "o"
+    assert main(["selftest", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + says.format(path=path))
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_module_entry_point(tmp_path):
+    """`python -m cqnls.cli` exits with main's status and prints its config error."""
+    path = _unreadable(tmp_path, "directory")
+    out = tmp_path / "o"
+    run = subprocess.run([sys.executable, "-m", "cqnls.cli", "selftest", "--config", str(path),
+                          "--out", str(out)], env=_fresh_env(), capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr.startswith("config error:") and "Traceback" not in run.stderr
     assert not out.exists()
 
 
