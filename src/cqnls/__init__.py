@@ -36,7 +36,6 @@ from .dynamics import (
     strang_step,
 )
 from .morawetz import (
-    MorawetzSeries,
     MorawetzWeight,
     averaged_local_l6,
     identity_residual,

@@ -212,7 +212,6 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
     n_steps = cfg.steps
     free = np.exp(-1j * plan.eigenvalues * dt)
     sponge_mult = np.exp(-dt * _sponge_profile(grid)).astype(complex) if cfg.sponge else None
-    tail_mask = np.arange(1, grid.n + 1) > (2 * grid.n) // 3
 
     weight = weight_build(cfg.morawetz_radius) if cfg.morawetz_radius is not None else None
     flux = _flux_weights(grid, cfg.flux_radius) if cfg.flux_radius is not None else None
@@ -271,7 +270,7 @@ def evolve(u0: RadialField, cfg: StepperConfig) -> tuple[Trajectory, RunOutcome]
                 snap_times.append(k * dt)
             if series["kinetic"][k] >= _BLOWUP_GRADIENT_FACTOR * kin0 and kin0 > 0:
                 spectral = np.abs(coef) ** 2 * plan.eigenvalues
-                tail_fraction = np.sum(spectral[tail_mask]) / np.sum(spectral)
+                tail_fraction = np.sum(spectral[(2 * grid.n) // 3:]) / np.sum(spectral)
                 trigger = {"trigger_kinetic_ratio": float(series["kinetic"][k] / kin0),
                            "tail_fraction": float(tail_fraction)}
                 if tail_fraction > _TAIL_FRACTION_LIMIT:

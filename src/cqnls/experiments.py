@@ -25,7 +25,7 @@ from .errors import ConfigError, ContractError
 from .functionals import GROUND_STATE_KINETIC, chi, cutoff_identity_residual, report
 from .grid import (RadialField, RadialGrid, SpectralPlan, cubic_resample, free_flow,
                    free_propagate, integrate_ball, laplacian)
-from .morawetz import averaged_local_l6, identity_residual, series_from_trajectory, weight_build
+from .morawetz import averaged_local_l6, identity_residual, weight_build
 from .variational import (K_MINUS, K_PLUS, bubble, classify, cubic_barrier, ground_state,
                           thresholds)
 
@@ -88,8 +88,6 @@ def run_evolve(cfg: ExperimentConfig, out: Path) -> dict:
     for t, snap in zip(traj.snapshot_times, traj.snapshots):
         storage.write_snapshot(snapdir / f"t{t:012.6f}.npy", snap, t=float(t),
                                label=cfg.initial.family)
-    if cfg.stepper.morawetz_radius is not None:
-        series_from_trajectory(traj).to_csv(out / "morawetz_series.csv")
     return {"outcome": outcome.to_dict(), "steps": len(traj.times) - 1}
 
 
@@ -208,7 +206,7 @@ def run_morawetz(cfg: ExperimentConfig, out: Path) -> dict:
     residual = identity_residual(ident_traj, w)
 
     rows, slope, _ = averaged_l6_scaling(u0, cfg.stepper)
-    series_from_trajectory(ident_traj).to_csv(out / "morawetz_series.csv")
+    ident_traj.to_csv(out / "morawetz_series.csv")
     summary = {"rows": rows, "fit_slope": slope, "identity_residual": residual,
                "weight_radius": R_w}
     storage.write_json(out / "averaged_l6.json", summary)

@@ -207,6 +207,8 @@ def morawetz_rate(u: RadialField | FieldDerivative,
     return main, err1, err2
 
 
+# kept only because perfbench/tracer.py looks up MorawetzSeries.to_csv when it is
+# imported; no run writes one (a run's per-step record is Trajectory.to_csv)
 @dataclass
 class MorawetzSeries:
     """Per-step action values with the three rate groups."""
@@ -233,19 +235,6 @@ class MorawetzSeries:
         )
         np.savetxt(path, data, delimiter=",", header="t,M,main,err1,err2,fd_rate",
                    comments="")
-
-
-def series_from_trajectory(traj) -> MorawetzSeries:
-    s = traj.series
-    if "morawetz_m" not in s:
-        raise ContractError("trajectory was recorded without a Morawetz weight")
-    return MorawetzSeries(
-        times=traj.times,
-        m_values=s["morawetz_m"],
-        rate_main=s["morawetz_main"],
-        rate_err1=s["morawetz_err1"],
-        rate_err2=s["morawetz_err2"],
-    )
 
 
 def identity_residual(traj, w: MorawetzWeight) -> float:

@@ -19,6 +19,7 @@ from cqnls.dynamics import StepperConfig
 from cqnls.errors import ConfigError, ContractError
 from cqnls.experiments import build_initial, free_decay_study
 from cqnls.grid import RadialGrid, free_propagate
+from cqnls.morawetz import centred_residual
 from cqnls.storage import read_snapshot, write_snapshot
 
 from conftest import gaussian
@@ -248,6 +249,37 @@ def test_evolve_restarts_from_its_own_snapshot(tmp_path):
     assert main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "evolve" / "series.csv").read_bytes()
             == (tmp_path / "b" / "evolve" / "series.csv").read_bytes())
+
+
+@pytest.mark.parametrize("stepper", [
+    {"dt": 1e-7, "t_end": 1e-6, "snapshot_stride": 1},  # 11 snapshots, 2 distinct names
+    {"dt": 1e-7, "t_end": 1.03e-5, "snapshot_stride": 100},  # the last replaces t = 1e-5
+])
+def test_evolve_below_snapshot_name_resolution_is_refused(tmp_path, capsys, stepper):
+    """Snapshot names carry t to 6 decimals, so an evolve dt below 1e-6 is refused when
+    the config loads, naming dt and the names' resolution: exit 1, no output directory."""
+    cfgfile = tmp_path / "ev.json"
+    cfgfile.write_text(json.dumps({"experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+                                   "stepper": stepper}))
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "dt 1e-07" in err and "snapshot names" in err
+    assert not out.exists()
+
+
+def test_evolve_at_snapshot_name_resolution_writes_every_snapshot(tmp_path):
+    """At dt = 1e-6 every snapshot time has a name of its own."""
+    cfgfile = tmp_path / "ev.json"
+    cfgfile.write_text(json.dumps({
+        "experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+        "stepper": {"dt": 1e-6, "t_end": 1e-5, "snapshot_stride": 1}}))
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
+    snapdir = out / "evolve" / "snapshots"
+    assert len(list(snapdir.glob("*.npy"))) == 11
+    assert len(list(snapdir.glob("*.npy.json"))) == 11
 
 
 def test_cli_thresholds(tmp_path):
@@ -535,9 +567,17 @@ def test_morawetz_experiment(tmp_path):
     got = json.loads((out / "morawetz" / "averaged_l6.json").read_text())
     assert got["identity_residual"] <= 1e-2
     assert len(got["rows"]) == 3
-    series = (out / "morawetz" / "morawetz_series.csv").read_text().splitlines()
-    assert series[0] == "t,M,main,err1,err2,fd_rate"
-    assert len(series) == 1001 + 1  # per-step rows plus header
+    path = out / "morawetz" / "morawetz_series.csv"
+    header = path.read_text().splitlines()[0].split(",")
+    assert header == ["t", "mass", "energy", "kinetic", "l6_local", "morawetz_m",
+                      "morawetz_main", "morawetz_err1", "morawetz_err2"]
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert data.shape == (1001, len(header))  # one row per step of the identity run
+    # the file is the identity run's whole record: %.18e round-trips float64, so its
+    # columns give back the residual bit for bit
+    cols = dict(zip(header, data.T))
+    rate = cols["morawetz_main"] + cols["morawetz_err1"] + cols["morawetz_err2"]
+    assert centred_residual(cols["t"], cols["morawetz_m"], rate) == got["identity_residual"]
 
 
 def test_morawetz_runs_derive_from_the_stepper_section(tmp_path, monkeypatch):
@@ -775,6 +815,23 @@ def test_manifest_lists_only_this_runs_files(tmp_path):
     assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
     assert json.loads(manifest_path.read_text())["artifacts"] == [
         "outcome.json", "series.csv", *_SNAPSHOTS]
+
+
+def test_evolve_writes_one_per_step_csv(tmp_path):
+    """With a Morawetz radius, series.csv holds the Morawetz columns beside the
+    conservation series, and it is the run's only per-step file."""
+    out = tmp_path / "o"
+    cfgfile = tmp_path / "ev.json"
+    cfgfile.write_text(json.dumps({
+        "experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+        "initial": {"family": "gaussian", "amplitude": 0.3},
+        "stepper": {"dt": 1e-3, "t_end": 2e-3, "morawetz_radius": 4.0}}))
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
+    manifest = json.loads((out / "evolve" / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["outcome.json", "series.csv", *_SNAPSHOTS]
+    header = (out / "evolve" / "series.csv").read_text().splitlines()[0]
+    assert header == ("t,mass,energy,kinetic,l6_local,"
+                      "morawetz_m,morawetz_main,morawetz_err1,morawetz_err2")
 
 
 def test_manifest_lists_this_runs_snapshots_not_stale_ones(tmp_path):

@@ -13,7 +13,6 @@ from cqnls.morawetz import (
     identity_residual,
     morawetz_action,
     morawetz_rate,
-    series_from_trajectory,
     weight_build,
 )
 
@@ -214,8 +213,6 @@ def test_identity_requires_matching_weight(w8):
     traj = _identity_run(1e-3, t_end=0.01)
     with pytest.raises(ContractError):
         identity_residual(traj, weight_build(4.0))
-    series = series_from_trajectory(traj)
-    assert len(series.m_values) == len(traj.times)
 
 
 def _l6_series_trajectory(u, times, R):
