@@ -13,9 +13,5 @@ class ResolutionError(RuntimeError):
     """A rescaled or requested field would be unresolved on the grid."""
 
 
-class WeightConstructionError(RuntimeError):
-    """The interpolation weight failed its build-time inequality scan."""
-
-
 class ConfigError(ValueError):
     """An experiment configuration file is malformed."""

@@ -81,13 +81,20 @@ def run_classify(cfg: ExperimentConfig, out: Path) -> dict:
 def run_evolve(cfg: ExperimentConfig, out: Path) -> dict:
     u0 = build_initial(cfg.grid, cfg.initial)
     traj, outcome = evolve(u0, cfg.stepper)
+    # names carry t to 6 decimals; refuse a run whose snapshots would overwrite each other
+    names = {}
+    for t in map(float, traj.snapshot_times):
+        name = f"t{t:012.6f}.npy"
+        if name in names:
+            raise ContractError(f"snapshots at t = {names[name]!r} and t = {t!r} "
+                                f"would share the file name {name}")
+        names[name] = t
     traj.to_csv(out / "series.csv")
     storage.write_json(out / "outcome.json", outcome.to_dict())
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    for t, snap in zip(traj.snapshot_times, traj.snapshots):
-        storage.write_snapshot(snapdir / f"t{t:012.6f}.npy", snap, t=float(t),
-                               label=cfg.initial.family)
+    for (name, t), snap in zip(names.items(), traj.snapshots):
+        storage.write_snapshot(snapdir / name, snap, t=t, label=cfg.initial.family)
     return {"outcome": outcome.to_dict(), "steps": len(traj.times) - 1}
 
 

@@ -282,6 +282,21 @@ def test_evolve_at_snapshot_name_resolution_writes_every_snapshot(tmp_path):
     assert len(list(snapdir.glob("*.npy.json"))) == 11
 
 
+def test_evolve_refuses_shared_snapshot_names_after_load(tmp_path):
+    """A stepper assigned after the config is built skips the load-time dt check;
+    run_evolve still refuses snapshots that would share a name, before writing any."""
+    from cqnls.experiments import run
+
+    cfg = ExperimentConfig(experiment="evolve", grid=RadialGrid(16.0, 255),
+                           out_dir=str(tmp_path / "o"))
+    cfg.stepper = StepperConfig(dt=1e-7, t_end=1e-6, snapshot_stride=1)
+    assert run(cfg) == 1
+    out = tmp_path / "o" / "evolve"
+    assert "would share the file name t00000.000000.npy" in (out / "error.txt").read_text()
+    for name in ("series.csv", "outcome.json", "snapshots"):
+        assert not (out / name).exists()
+
+
 def test_cli_thresholds(tmp_path):
     cfgfile = tmp_path / "th.ini"
     cfgfile.write_text("[run]\nexperiment = thresholds\n\n[grid]\nr_max = 512.0\nn = 16384\n")

@@ -1,5 +1,7 @@
 """Morawetz weight, action, rate identity, and averaged local L^6 mass."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,12 @@ from cqnls.functionals import local_l6, report
 from cqnls.grid import (FieldDerivative, RadialField, RadialGrid, integrate_ball,
                         radial_derivative)
 from cqnls.morawetz import (
+    _Q,
+    _Q1,
+    _Q2,
+    _Q3,
+    MorawetzWeight,
+    _polyval,
     averaged_local_l6,
     identity_residual,
     morawetz_action,
@@ -73,20 +81,29 @@ def test_weight_monotone_and_tangential_sign(w8):
     assert -20 < np.min(a_rr[~exact]) < 0
 
 
-def test_weight_build_rejects_bad_radius():
-    with pytest.raises(ContractError):
-        weight_build(-1.0)
+def test_transition_patch_meets_both_branches_exactly():
+    """q and its first three derivatives meet the ball's (R^2, 2R, 2, 0) at s = 0
+    and the exterior's (6R^2, 3R, 0, 0) at s = 1, in units of R^(2-k); the integer
+    coefficients make every value exact.  q' >= 0 on the annulus, its minimum 2 at s = 0."""
+    for Qk, ball, exterior in zip((_Q, _Q1, _Q2, _Q3), (1, 2, 2, 0), (6, 3, 0, 0)):
+        assert _polyval(0.0, Qk) == ball
+        assert _polyval(1.0, Qk) == exterior
+    assert np.all(_polyval(np.linspace(0.0, 1.0, 1001), _Q1) >= 0)
 
 
-def test_weight_build_scan_reports_violation(monkeypatch):
-    import cqnls.morawetz as mz
-    from cqnls.errors import WeightConstructionError
+@pytest.mark.parametrize("build", [weight_build, MorawetzWeight])
+@pytest.mark.parametrize("R", [-1.0, 0.0, np.nan, np.inf])
+def test_weight_build_rejects_bad_radius(build, R):
+    with pytest.raises(ContractError, match="weight radius must be positive and finite"):
+        build(R)
 
-    # poison the transition slope: keeps both junction values (2 and 3) but
-    # dips negative inside, so the monotonicity scan must trip
-    monkeypatch.setattr(mz, "_Q1", np.array([2.0, -40.0, 81.0, -40.0]))
-    with pytest.raises(WeightConstructionError, match="a' < 0 at r"):
-        weight_build(8.0)
+
+def test_weight_radius_is_fixed(grid64):
+    """The node cache is keyed by grid alone, so the weight's R cannot be reassigned."""
+    w = MorawetzWeight(4.0)
+    w.on_grid(grid64)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.R = 8.0
 
 
 def test_action_real_field_vanishes(grid64, w8):
