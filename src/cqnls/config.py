@@ -119,10 +119,6 @@ class ExperimentConfig:
             # its identity run steps to t = 2 and needs two steps for its residual
             raise ConfigError(f"morawetz needs dt at most 1 for its identity run to t = 2, "
                               f"got dt {self.stepper.dt}")
-        if self.experiment == "evolve" and self.stepper.dt < 1e-6:
-            # two snapshot times closer than 1e-6 would share a file name
-            raise ConfigError(f"evolve needs dt at least 1e-6, the resolution of its snapshot "
-                              f"names t<time>.npy (6 decimals), got dt {self.stepper.dt}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -81,19 +81,13 @@ def run_classify(cfg: ExperimentConfig, out: Path) -> dict:
 def run_evolve(cfg: ExperimentConfig, out: Path) -> dict:
     u0 = build_initial(cfg.grid, cfg.initial)
     traj, outcome = evolve(u0, cfg.stepper)
-    # names carry t to 6 decimals; refuse a run whose snapshots would overwrite each other
-    names = {}
-    for t in map(float, traj.snapshot_times):
-        name = f"t{t:012.6f}.npy"
-        if name in names:
-            raise ContractError(f"snapshots at t = {names[name]!r} and t = {t!r} "
-                                f"would share the file name {name}")
-        names[name] = t
     traj.to_csv(out / "series.csv")
     storage.write_json(out / "outcome.json", outcome.to_dict())
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    for (name, t), snap in zip(names.items(), traj.snapshots):
+    # every snapshot time is k * dt; its step k names it exactly, in time order
+    for t, snap in zip(map(float, traj.snapshot_times), traj.snapshots):
+        name = f"step{round(t / cfg.stepper.dt):09d}.npy"
         storage.write_snapshot(snapdir / name, snap, t=t, label=cfg.initial.family)
     return {"outcome": outcome.to_dict(), "steps": len(traj.times) - 1}
 
@@ -208,7 +202,7 @@ def run_morawetz(cfg: ExperimentConfig, out: Path) -> dict:
     if abs(steps - round(steps)) > 1e-9 * steps:  # StepperConfig's tolerance
         horizon = math.floor(steps) * dt
     ident_cfg = replace(cfg.stepper, t_end=horizon, snapshot_stride=10**9,
-                        sponge=False, morawetz_radius=R_w)
+                        sponge=False, morawetz_radius=R_w, flux_radius=None)
     ident_traj, _ = evolve(u0, ident_cfg)
     residual = identity_residual(ident_traj, w)
 
@@ -310,11 +304,10 @@ def _selftest_checks(seed: int):
     cres = cutoff_identity_residual(u, 8.0)
     yield "cutoff_identity", cres <= 1e-4, f"{cres:.2e}"
 
-    try:
-        weight_build(8.0)
-        yield "weight_build", True, "ok"
-    except Exception as exc:  # pragma: no cover
-        yield "weight_build", False, str(exc)
+    wb = weight_build(8.0)
+    ends = np.array([8.0, 16.0])  # R and 2R, where a and a' are exact
+    ok = wb.a(ends).tolist() == [64.0, 384.0] and wb.a_r(ends).tolist() == [16.0, 24.0]
+    yield "weight_build", ok, "ok" if ok else f"a {wb.a(ends)}, a_r {wb.a_r(ends)}"
 
     s1 = strang_step(u, 1e-3)
     m0 = integrate_ball(grid, np.abs(u.values) ** 2)

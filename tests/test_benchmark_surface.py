@@ -1,8 +1,9 @@
-"""The names the benchmark under perfbench/ reaches in cqnls still exist.
+"""The names the benchmark under perfbench/ reaches in cqnls still exist, and
+each workload passes its own gate.
 
 perfbench is loaded by file path, as it stands: a change that deletes or
-renames a name it imports, traces or calls fails here, not only in a
-benchmark run.
+renames a name it imports, traces or calls, or that fails a workload's
+checks, fails here, not only in a benchmark run.
 """
 
 import importlib.util
@@ -37,7 +38,12 @@ def test_every_traced_entry_point_has_a_binding(tracer):
     assert unbound == []
 
 
-def test_every_workload_builds(workloads):
+def test_every_workload_builds(workloads, tmp_path):
+    """Each workload builds, runs and passes its own gate at seed 1."""
     assert workloads.WORKLOADS
-    for cls in workloads.WORKLOADS.values():
-        cls(1)
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(1)
+        out = tmp_path / name
+        out.mkdir()
+        checked = workload.check(workload.run(out), out)
+        assert all(checked.checks.values()), (name, checked.checks)

@@ -235,7 +235,8 @@ def test_evolve_from_csv_snapshot_is_a_config_error(tmp_path, capsys):
 
 
 def test_evolve_restarts_from_its_own_snapshot(tmp_path):
-    """run_evolve writes t<time>.npy snapshots that family = "file" reads back bitwise."""
+    """run_evolve writes step<k>.npy snapshots, named by their step k, that
+    family = "file" reads back bitwise."""
     base = {"experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
             "stepper": {"dt": 1e-3, "t_end": 2e-3, "snapshot_stride": 1}}
     cfgfile = tmp_path / "ev.json"
@@ -243,58 +244,59 @@ def test_evolve_restarts_from_its_own_snapshot(tmp_path):
     assert main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "a")]) == 0
     snapdir = tmp_path / "a" / "evolve" / "snapshots"
     assert sorted(p.name for p in snapdir.iterdir()) == [
-        f"t{t:012.6f}.npy{ext}" for t in (0.0, 1e-3, 2e-3) for ext in ("", ".json")]
-    snap = snapdir / f"t{0.0:012.6f}.npy"
+        f"step{k:09d}.npy{ext}" for k in (0, 1, 2) for ext in ("", ".json")]
+    snap = snapdir / "step000000000.npy"
     cfgfile.write_text(json.dumps(dict(base, initial={"family": "file", "path": str(snap)})))
     assert main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "evolve" / "series.csv").read_bytes()
             == (tmp_path / "b" / "evolve" / "series.csv").read_bytes())
 
 
-@pytest.mark.parametrize("stepper", [
-    {"dt": 1e-7, "t_end": 1e-6, "snapshot_stride": 1},  # 11 snapshots, 2 distinct names
-    {"dt": 1e-7, "t_end": 1.03e-5, "snapshot_stride": 100},  # the last replaces t = 1e-5
+_TAIL = {"dt": 1e-7, "t_end": 1.03e-5, "snapshot_stride": 100}  # a last snapshot 3 steps on
+
+
+@pytest.mark.parametrize("stepper, steps, assigned", [
+    pytest.param({"dt": 1e-6, "t_end": 1e-5, "snapshot_stride": 1}, range(11), False,
+                 id="dt1e-6"),
+    pytest.param({"dt": 1e-7, "t_end": 1e-6, "snapshot_stride": 1}, range(11), False,
+                 id="dt1e-7-stride1"),
+    pytest.param({"dt": 1e-7, "t_end": 1e-5, "snapshot_stride": 100}, (0, 100), False,
+                 id="dt1e-7-stride100"),
+    pytest.param(_TAIL, (0, 100, 103), False, id="dt1e-7-tail"),
+    pytest.param(_TAIL, (0, 100, 103), True, id="dt1e-7-tail-assigned"),
 ])
-def test_evolve_below_snapshot_name_resolution_is_refused(tmp_path, capsys, stepper):
-    """Snapshot names carry t to 6 decimals, so an evolve dt below 1e-6 is refused when
-    the config loads, naming dt and the names' resolution: exit 1, no output directory."""
-    cfgfile = tmp_path / "ev.json"
-    cfgfile.write_text(json.dumps({"experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
-                                   "stepper": stepper}))
-    out = tmp_path / "o"
-    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
-    assert "dt 1e-07" in err and "snapshot names" in err
-    assert not out.exists()
+def test_evolve_at_snapshot_name_resolution_writes_every_snapshot(tmp_path, monkeypatch,
+                                                                   stepper, steps, assigned):
+    """Each snapshot is named by its step, so snapshots however close in time get names
+    of their own, whether the stepper comes from the config file or is assigned after
+    the config is built; each sidecar's t is its snapshot's time."""
+    from cqnls import experiments
 
+    trajs = []
+    real_evolve = experiments.evolve
 
-def test_evolve_at_snapshot_name_resolution_writes_every_snapshot(tmp_path):
-    """At dt = 1e-6 every snapshot time has a name of its own."""
-    cfgfile = tmp_path / "ev.json"
-    cfgfile.write_text(json.dumps({
-        "experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
-        "stepper": {"dt": 1e-6, "t_end": 1e-5, "snapshot_stride": 1}}))
+    def recording_evolve(u0, st):
+        traj, outcome = real_evolve(u0, st)
+        trajs.append(traj)
+        return traj, outcome
+
+    monkeypatch.setattr(experiments, "evolve", recording_evolve)
     out = tmp_path / "o"
-    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
+    if assigned:
+        cfg = ExperimentConfig(experiment="evolve", grid=RadialGrid(16.0, 255), out_dir=str(out))
+        cfg.stepper = StepperConfig(**stepper)
+        assert experiments.run(cfg) == 0
+    else:
+        cfgfile = tmp_path / "ev.json"
+        cfgfile.write_text(json.dumps({"experiment": "evolve", "grid": {"r_max": 16.0, "n": 255},
+                                       "stepper": stepper}))
+        assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
     snapdir = out / "evolve" / "snapshots"
-    assert len(list(snapdir.glob("*.npy"))) == 11
-    assert len(list(snapdir.glob("*.npy.json"))) == 11
-
-
-def test_evolve_refuses_shared_snapshot_names_after_load(tmp_path):
-    """A stepper assigned after the config is built skips the load-time dt check;
-    run_evolve still refuses snapshots that would share a name, before writing any."""
-    from cqnls.experiments import run
-
-    cfg = ExperimentConfig(experiment="evolve", grid=RadialGrid(16.0, 255),
-                           out_dir=str(tmp_path / "o"))
-    cfg.stepper = StepperConfig(dt=1e-7, t_end=1e-6, snapshot_stride=1)
-    assert run(cfg) == 1
-    out = tmp_path / "o" / "evolve"
-    assert "would share the file name t00000.000000.npy" in (out / "error.txt").read_text()
-    for name in ("series.csv", "outcome.json", "snapshots"):
-        assert not (out / name).exists()
+    names = [f"step{k:09d}.npy" for k in steps]
+    assert sorted(p.name for p in snapdir.iterdir()) == [
+        name + ext for name in names for ext in ("", ".json")]
+    (traj,) = trajs
+    assert [read_snapshot(snapdir / name)[1]["t"] for name in names] == traj.snapshot_times.tolist()
 
 
 def test_cli_thresholds(tmp_path):
@@ -598,7 +600,8 @@ def test_morawetz_experiment(tmp_path):
 def test_morawetz_runs_derive_from_the_stepper_section(tmp_path, monkeypatch):
     """Each run that run_morawetz steps differs from cfg.stepper only in the fields it
     sets itself, so a configured dt or evacuation epsilon reaches every run.  The
-    identity run alone steps with the sponge off, whatever the section says."""
+    identity run alone steps with the sponge off, whatever the section says, and no
+    run records flux columns."""
     import dataclasses
 
     from cqnls import experiments
@@ -621,6 +624,7 @@ def test_morawetz_runs_derive_from_the_stepper_section(tmp_path, monkeypatch):
                   "morawetz_radius", "flux_radius"}
     assert [st.t_end for st in seen] == [0.08, 0.02, 0.04, 0.08]
     assert [st.sponge for st in seen] == [False, True, True, True]
+    assert [st.flux_radius for st in seen] == [None] * 4
     for st in seen:
         for f in dataclasses.fields(StepperConfig):
             if f.name not in overridden:
@@ -804,8 +808,8 @@ def test_shipped_configs_load():
         assert config_hash(cfg.to_dict()) == _SHIPPED_CONFIG_HASHES[path.name], path.name
 
 
-_SNAPSHOTS = ["snapshots/t00000.000000.npy", "snapshots/t00000.000000.npy.json",
-              "snapshots/t00000.002000.npy", "snapshots/t00000.002000.npy.json"]
+_SNAPSHOTS = ["snapshots/step000000000.npy", "snapshots/step000000000.npy.json",
+              "snapshots/step000000002.npy", "snapshots/step000000002.npy.json"]
 
 
 def test_manifest_lists_only_this_runs_files(tmp_path):
@@ -862,7 +866,7 @@ def test_manifest_lists_this_runs_snapshots_not_stale_ones(tmp_path):
         assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 0
     snapdir = out / "evolve" / "snapshots"
     assert len(list(snapdir.glob("*.npy"))) == 5
-    written = [f"snapshots/t00000.00{k}000.npy{ext}" for k in (0, 2, 4) for ext in ("", ".json")]
+    written = [f"snapshots/step{k:09d}.npy{ext}" for k in (0, 2, 4) for ext in ("", ".json")]
     manifest = json.loads((out / "evolve" / "manifest.json").read_text())
     assert manifest["artifacts"] == ["outcome.json", "series.csv", *written]
 
