@@ -5,7 +5,7 @@ the same section/field structure is accepted interchangeably.  Every field
 has a default, and a fully defaulted config runs the selftest experiment.
 
 There is one reader, ``from_dict``.  Its top level is the ``[run]`` section:
-the keys ``experiment``, ``out_dir``, ``seed`` and ``workers``, beside one
+the keys ``experiment``, ``out_dir`` and ``workers``, beside one
 object per section.  It builds each section, then the run itself, with
 ``_build_section``, so every key is checked and coerced the same way.  The
 INI reader only parses, lifting the ``[run]`` keys to the top level.  Keyword
@@ -100,16 +100,14 @@ class ExperimentConfig:
     stepper: StepperConfig = field(default_factory=StepperConfig)
     sweep: SweepSpec = field(default_factory=SweepSpec)
     out_dir: str = "outputs"
-    seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
+            raise ConfigError(f"unknown experiment {self.experiment!r}; "
+                              f"known: {', '.join(EXPERIMENTS)}")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise ConfigError(f"seed must be at least 0, got {self.seed}")
         steps = self.stepper.steps
         if self.experiment == "morawetz" and steps % 4:
             # its T-scaling rows step t_end/4 and t_end/2

@@ -33,7 +33,7 @@ def test_default_config_is_selftest():
 
 
 def test_json_roundtrip():
-    cfg = ExperimentConfig(experiment="evolve", seed=7)
+    cfg = ExperimentConfig(experiment="evolve")
     cfg.stepper.morawetz_radius = 8.0
     cfg.initial.family = "gaussian-mix"
     cfg.initial.amplitudes = (0.5, 0.2)
@@ -46,7 +46,7 @@ def test_ini_sets_every_field_kind(tmp_path):
     """Every section, and a bool, int, float, tuple, none and str field, from INI text."""
     path = tmp_path / "cfg.ini"
     path.write_text(
-        "[run]\nexperiment = dichotomy-sweep\nout_dir = runs/a\nseed = 3\nworkers = 2\n\n"
+        "[run]\nexperiment = dichotomy-sweep\nout_dir = runs/a\nworkers = 2\n\n"
         "[grid]\nr_max = 64.0\nn = 2047\n\n"
         "[initial]\nfamily = gaussian-mix\namplitudes = 0.5, 0.25\nwidths = 1,4.0\n"
         "path = data/u0.npy\n\n"
@@ -55,7 +55,7 @@ def test_ini_sets_every_field_kind(tmp_path):
         "[sweep]\namplitude_step = 0.25\ninclude_bubble = off\n"
     )
     assert load_config(path) == ExperimentConfig(
-        experiment="dichotomy-sweep", out_dir="runs/a", seed=3, workers=2,
+        experiment="dichotomy-sweep", out_dir="runs/a", workers=2,
         grid=RadialGrid(r_max=64.0, n=2047),
         initial=InitialData(family="gaussian-mix", amplitudes=(0.5, 0.25), widths=(1.0, 4.0),
                             path="data/u0.npy"),
@@ -229,7 +229,7 @@ def test_evolve_from_csv_snapshot_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
     error = out / "evolve" / "error.txt"
-    assert str(error) in capsys.readouterr().out
+    assert str(error) in capsys.readouterr().err
     assert "is not a .npy file" in error.read_text()
     assert not (out / "evolve" / "series.csv").exists()
 
@@ -333,7 +333,7 @@ def test_cli_failures_leave_traceback(tmp_path, capsys):
     cfgfile.write_text("[run]\nexperiment = thresholds\n\n[grid]\nr_max = 64.0\nn = 2047\n")
     assert main(["thresholds", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
     error = tmp_path / "o" / "thresholds" / "error.txt"
-    assert str(error) in capsys.readouterr().out
+    assert str(error) in capsys.readouterr().err
     assert error.read_text().startswith("Traceback")
 
     out = tmp_path / "ev"
@@ -344,7 +344,7 @@ def test_cli_failures_leave_traceback(tmp_path, capsys):
     cfgfile.write_text(json.dumps(bad))
     assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 1
     error = out / "evolve" / "error.txt"
-    assert str(error) in capsys.readouterr().out
+    assert str(error) in capsys.readouterr().err
     assert "ContractError: flux_radius 40.0 exceeds" in error.read_text()
 
     good = dict(base, stepper={"dt": 1e-3, "t_end": 2e-3, "evacuation_radius": 5.0})
@@ -668,7 +668,7 @@ def test_dichotomy_sweep_of_non_gaussian_family_is_a_config_error(tmp_path, caps
     out = tmp_path / "o"
     assert main(["dichotomy-sweep", "--config", str(cfgfile), "--out", str(out)]) == 1
     error = out / "dichotomy-sweep" / "error.txt"
-    assert str(error) in capsys.readouterr().out
+    assert str(error) in capsys.readouterr().err
     assert f"family {family!r} cannot be swept" in error.read_text()
     assert not (out / "dichotomy-sweep" / "sweep.csv").exists()
 
@@ -713,6 +713,38 @@ def _fresh_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
+def test_parallel_sweep_spawns_its_workers(tmp_path, monkeypatch):
+    """The sweep's pool starts its workers with spawn, not by forking a process that
+    already runs the BLAS pool's threads."""
+    import concurrent.futures
+
+    from cqnls.experiments import run_dichotomy
+
+    contexts = []
+
+    class Recorder:
+        def __init__(self, max_workers, mp_context):
+            contexts.append(mp_context.get_start_method())
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    cfg = ExperimentConfig(experiment="dichotomy-sweep", workers=2,
+                           grid=RadialGrid(r_max=64.0, n=255),
+                           stepper=StepperConfig(dt=4e-3, t_end=0.04),
+                           sweep=SweepSpec(amplitude_start=0.2, amplitude_stop=0.2,
+                                           include_bubble=False))
+    run_dichotomy(cfg, tmp_path)
+    assert contexts == ["spawn"]
+
+
 def test_cqnls_imports_no_process_pool():
     """concurrent.futures is imported by a sweep with workers > 1, not by importing cqnls."""
     run = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=_fresh_env(),
@@ -748,7 +780,6 @@ _INT_FIELDS = (
     (lambda v: {"grid": {"n": v}}, lambda cfg: cfg.grid.n),
     (lambda v: {"stepper": {"snapshot_stride": v}}, lambda cfg: cfg.stepper.snapshot_stride),
     (lambda v: {"workers": v}, lambda cfg: cfg.workers),
-    (lambda v: {"seed": v}, lambda cfg: cfg.seed),
 )
 
 
@@ -788,10 +819,10 @@ def test_tuple_fields_parse_lists_and_strings():
 
 # the manifest's config_hash of each shipped config; a refactor must not move them
 _SHIPPED_CONFIG_HASHES = {
-    "dichotomy.ini": "5c00ee47a0207a758fe6ecfdd18f30b0a9a8a53699de50209b196fad66fc7d5d",
-    "free_decay.ini": "a4fd085d4d49ec1f88f69a0fdd9fbe52935fc2ea38430b51eaad2b6a07ca4075",
-    "morawetz_scaling.json": "fed69da956434412d29ace0f2fc67db3ff4939204b8d2a6188338c1b04e8ee6f",
-    "thresholds.ini": "778359125023c781bd822240b9cfa3b2af0e7dd5846ef27d65b69ec61385bec1",
+    "dichotomy.ini": "cc6f1eddb88f0ac08489b3b2664aca646cbcc03ae6f2094acc11ea7ea7dce312",
+    "free_decay.ini": "353378b589e507c9cc035ca4629e45279185bb341f59aef789c20e50649ab22c",
+    "morawetz_scaling.json": "09c920ed0ba780ae5118588df8d397f09e2896a17d80c50d43c4bd34bd3ce36b",
+    "thresholds.ini": "5988ca2750d4d4a16db41f14961d38852bfc081182bae50204465aaa4f29c3a6",
 }
 
 
@@ -979,17 +1010,49 @@ def test_workers_below_one_refused(tmp_path, capsys, workers):
     assert not out.exists()
 
 
-def test_negative_seed_refused(tmp_path, capsys):
-    """The selftest's generator takes no negative seed, so the config refuses one at load."""
-    with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
-        from_dict({"seed": -1})
+def test_removed_seed_key_is_refused(tmp_path, capsys):
+    """The selftest seeds its own generator; a config that still sets seed names the keys."""
     cfgfile = tmp_path / "s.ini"
-    cfgfile.write_text("[run]\nseed = -1\n")
+    cfgfile.write_text("[run]\nseed = 3\n")
     out = tmp_path / "o"
     assert main(["selftest", "--config", str(cfgfile), "--out", str(out)]) == 1
-    assert "config error: bad [run] section: seed must be at least 0, got -1" in (
-        capsys.readouterr().err)
+    assert capsys.readouterr().err.startswith(
+        "config error: unknown key 'seed' in section [run]; known: experiment, grid, ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["nosuch"], "bad [run] section: unknown experiment 'nosuch'; known: thresholds, "),
+    (["selftest", "--workers", "x"], "bad value for 'workers' in section [run]: "),
+    (["selftest", "--workers", "1.5"], "bad value for 'workers' in section [run]: "),
+    (["selftest", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: "),
+], ids=["unknown-experiment", "workers-x", "workers-1.5", "unknown-option", "no-experiment"])
+def test_unparsable_command_line_is_a_config_error(tmp_path, capsys, argv, says):
+    """Only the config reader checks values, so a bad command line exits 1, not 2, and a bad
+    --workers reads as the same value in a config file does."""
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + says)
+    assert "Traceback" not in err
+    assert not out.exists()
+    if "--workers" in argv:
+        cfgfile = tmp_path / "w.ini"
+        cfgfile.write_text(f"[run]\nworkers = {argv[-1]}\n")
+        assert main(["selftest", "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+
+def test_cli_help_names_every_experiment(capsys):
+    from cqnls.experiments import REGISTRY
+
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    shown = capsys.readouterr().out
+    assert all(name in shown for name in REGISTRY)
 
 
 _MORAWETZ_101_STEPS = {
@@ -1048,14 +1111,16 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, kind, says):
 
 
 def test_cli_module_entry_point(tmp_path):
-    """`python -m cqnls.cli` exits with main's status and prints its config error."""
+    """`python -m cqnls.cli` exits with main's status and prints its config error, for an
+    unreadable config and for an unknown experiment."""
     path = _unreadable(tmp_path, "directory")
     out = tmp_path / "o"
-    run = subprocess.run([sys.executable, "-m", "cqnls.cli", "selftest", "--config", str(path),
-                          "--out", str(out)], env=_fresh_env(), capture_output=True, text=True)
-    assert run.returncode == 1
-    assert run.stderr.startswith("config error:") and "Traceback" not in run.stderr
-    assert not out.exists()
+    for argv in (["selftest", "--config", str(path)], ["nosuch"]):
+        run = subprocess.run([sys.executable, "-m", "cqnls.cli", *argv, "--out", str(out)],
+                             env=_fresh_env(), capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stderr.startswith("config error:") and "Traceback" not in run.stderr
+        assert not out.exists()
 
 
 _FINITE = st.floats(-10.0, 10.0)
